@@ -9,7 +9,6 @@
 #include "src/learn/learner.h"
 #include "src/pattern/lexer.h"
 #include "src/relations/affix_trie.h"
-#include "src/relations/equality_index.h"
 #include "src/relations/prefix_trie.h"
 
 namespace concord {
@@ -93,25 +92,6 @@ void BM_AffixTrieSuffixSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_AffixTrieSuffixSearch);
-
-void BM_EqualityIndex(benchmark::State& state) {
-  std::vector<std::string> keys;
-  for (int i = 0; i < 1024; ++i) {
-    keys.push_back(std::to_string(4000 + i % 300));
-  }
-  for (auto _ : state) {
-    EqualityIndex index;
-    ParamRef ref{};
-    for (const auto& k : keys) {
-      index.Insert(k, ref);
-    }
-    for (const auto& k : keys) {
-      benchmark::DoNotOptimize(index.Lookup(k));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 2048);
-}
-BENCHMARK(BM_EqualityIndex);
 
 void BM_LearnW1(benchmark::State& state) {
   GeneratedCorpus corpus = BenchCorpus("W1", 1);

@@ -136,9 +136,11 @@ struct LoadedInputs {
 // surviving configs load normally. Only a load that yields *no* usable configs
 // (or a bad lexer file) fails outright. The deadline is polled per file so a
 // huge or slow-to-read corpus cannot blow past --deadline-ms before the
-// learn/check phases ever consult it; expiry throws DeadlineExceeded.
-bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
-                const Deadline& deadline, LoadedInputs* inputs, std::ostream& err) {
+// learn/check phases ever consult it; expiry throws DeadlineExceeded. Parse
+// spans bill to `verb`'s trace category, so `check --profile` shows check/parse.
+bool LoadInputs(const ArgParser& args, std::string_view verb, bool embed_context,
+                bool constants, const Deadline& deadline, LoadedInputs* inputs,
+                std::ostream& err) {
   if (!args.Has("configs")) {
     err << "error: --configs is required\n";
     return false;
@@ -177,7 +179,7 @@ bool LoadInputs(const ArgParser& args, bool embed_context, bool constants,
       continue;
     }
     try {
-      TraceSpan span("learn", "parse");
+      TraceSpan span(verb, "parse");
       inputs->dataset.configs.push_back(parser.Parse(file, text));
       inputs->config_keys[file] = ContentKey(file, text);
       if (args.Has("store-dir")) {
@@ -400,7 +402,8 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   bool embed = !args.GetBool("no-embedding");
   options.deadline = DeadlineFromFlags(args);
   LoadedInputs inputs;
-  if (!LoadInputs(args, embed, options.constants, options.deadline, &inputs, err)) {
+  if (!LoadInputs(args, "learn", embed, options.constants, options.deadline, &inputs,
+                  err)) {
     return 2;
   }
 
@@ -576,7 +579,7 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   bool embed = preview->embed_context && !args.GetBool("no-embedding");
   bool constants = preview->constants_mode || args.GetBool("constants");
   Deadline deadline = DeadlineFromFlags(args);
-  if (!LoadInputs(args, embed, constants, deadline, &inputs, err)) {
+  if (!LoadInputs(args, "check", embed, constants, deadline, &inputs, err)) {
     return 2;
   }
   auto set = ParseContracts(contracts_text, &inputs.dataset.patterns, &error);
@@ -740,7 +743,7 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
     }
     bool embed = preview->embed_context && !args.GetBool("no-embedding");
     bool constants = preview->constants_mode || args.GetBool("constants");
-    if (!LoadInputs(args, embed, constants, deadline, &inputs, err)) {
+    if (!LoadInputs(args, "analyze", embed, constants, deadline, &inputs, err)) {
       return 2;
     }
     partial = !inputs.skipped.empty();

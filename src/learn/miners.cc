@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "src/learn/relational.h"
 #include "src/learn/summaries.h"
 #include "src/util/cancellation.h"
+#include "src/util/flat_map.h"
 
 namespace concord {
 
@@ -441,7 +440,7 @@ std::vector<Contract> AggregateUnique(const std::vector<const ConfigSummary*>& s
                                       const std::vector<uint32_t>& config_counts,
                                       const LearnOptions& options) {
   struct Stats {
-    std::unordered_set<Value, ValueHash> distinct;
+    FlatMap<Value, bool, ValueHash> distinct;  // Used as a set.
     uint32_t total = 0;
   };
   std::map<std::pair<PatternId, uint16_t>, Stats> stats;
@@ -449,7 +448,7 @@ std::vector<Contract> AggregateUnique(const std::vector<const ConfigSummary*>& s
     for (const UniqueObservation& obs : summary->unique) {
       Stats& s = stats[{obs.pattern, obs.param}];
       for (const Value* value : obs.values) {
-        s.distinct.insert(*value);
+        s.distinct.TryEmplace(*value);
       }
       s.total += static_cast<uint32_t>(obs.values.size());
     }

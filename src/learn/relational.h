@@ -4,18 +4,29 @@
 // with every relation — quadratic in the tens of thousands of parameters real configs
 // carry. Concord instead discovers candidates from *actual matches*:
 //
-//   Pass 1 (per configuration): insert every transformed parameter value into the
-//   relation-finding structures — equality hash index, prefix trie, forward and
-//   reversed affix tries.
+//   Pass 1 (per configuration): render every (line, param, transform) key once into
+//   one text buffer and intern equal texts to one id. An id is both an equality
+//   bucket, whose distinct nodes are listed once, and a witness identity. Identity
+//   keys go into the forward and reversed affix tries, prefixes into the prefix trie.
 //
 //   Pass 2 (per configuration): look each value up, producing candidate (forall,
 //   relation, exists) keys together with the forall-side line that found a witness.
+//   Marks go into one FlatMap of candidates plus flat records, folded at the end.
 //   Per config, a candidate holds when *every* line of the forall pattern found a
 //   witness.
 //
+// A config's RelationalConfigSummary (src/learn/summaries.h) is flat: candidates in
+// first-mark order, (candidate, witness, score) entries, and one pool of the
+// distinct witness texts those entries index. Each candidate keeps its first 256
+// distinct witnesses in mark order, each with the score it was first offered with.
+// A summary is a few vectors, so building, caching and freeing one costs a few
+// allocations, not one per mark.
+//
 // Candidates are aggregated across configurations; a contract is learned when it meets
 // support S, confidence C, and the cumulative informativeness threshold (diversity-
-// aggregated over distinct witness keys, §3.5 "reducing false positives").
+// aggregated over distinct witness keys, §3.5 "reducing false positives"). The
+// diversity set is the 256 lexicographically smallest distinct witness texts over
+// all configs, each with its largest score, so it does not depend on config order.
 #ifndef SRC_LEARN_RELATIONAL_H_
 #define SRC_LEARN_RELATIONAL_H_
 

@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "src/contracts/contract.h"
@@ -62,15 +62,37 @@ struct RelationalKeyHash {
 
 // One candidate's evidence within one configuration.
 struct RelationalCandidate {
+  RelationalKey key;
   // Did every forall-side line of this config find a witness?
   bool holds = false;
-  // Distinct witness keys with their instance scores, capped (diversity, §3.5).
-  std::unordered_map<std::string, double> diversity;
 };
 
+// One distinct witness key of one candidate with its instance score (diversity,
+// §3.5). Scores are multiples of 1/16 no larger than 8, so a float holds them
+// exactly.
+struct RelationalWitness {
+  uint32_t candidate = 0;  // Index into RelationalConfigSummary::candidates.
+  uint32_t text = 0;       // Index into the summary's witness-text pool.
+  float score = 0.0f;
+};
+
+// Flat per-config relational evidence (see src/learn/relational.h): candidates in
+// first-mark order, (candidate, witness, score) entries in mark order, and one
+// pool of the distinct witness texts those entries name.
 struct RelationalConfigSummary {
-  std::unordered_map<RelationalKey, RelationalCandidate, RelationalKeyHash> candidates;
+  std::vector<RelationalCandidate> candidates;
+  std::vector<RelationalWitness> witnesses;
+  std::string witness_text;               // Witness texts, concatenated.
+  std::vector<uint32_t> witness_offsets;  // Text i is [offsets[i], offsets[i + 1]).
   size_t match_events = 0;  // Marks recorded (the §5.2 ablation statistic).
+
+  size_t num_witness_texts() const {
+    return witness_offsets.empty() ? 0 : witness_offsets.size() - 1;
+  }
+  std::string_view WitnessText(uint32_t i) const {
+    return std::string_view(witness_text)
+        .substr(witness_offsets[i], witness_offsets[i + 1] - witness_offsets[i]);
+  }
 };
 
 // ---- Non-relational summary types. ----

@@ -37,16 +37,22 @@ void PrefixTrie::InsertBits(const std::array<uint8_t, 16>& bytes, int prefix_len
     }
     node = nodes_[node].child[bit];
   }
-  nodes_[node].terminals.push_back(ref);
-  ++num_prefixes_;
+  int32_t terminal = static_cast<int32_t>(terminals_.size());
+  terminals_.push_back(Terminal{ref, -1});
+  if (nodes_[node].last_terminal == -1) {
+    nodes_[node].first_terminal = terminal;
+  } else {
+    terminals_[nodes_[node].last_terminal].next = terminal;
+  }
+  nodes_[node].last_terminal = terminal;
 }
 
 void PrefixTrie::FindBits(const std::array<uint8_t, 16>& bytes, int query_len, bool v6,
                           std::vector<Hit>* out) const {
   int32_t node = v6 ? root6_ : root4_;
   for (int depth = 0; depth <= query_len; ++depth) {
-    for (const ParamRef& ref : nodes_[node].terminals) {
-      out->push_back(Hit{ref, depth});
+    for (int32_t t = nodes_[node].first_terminal; t != -1; t = terminals_[t].next) {
+      out->push_back(Hit{terminals_[t].ref, depth});
     }
     if (depth == query_len) {
       break;

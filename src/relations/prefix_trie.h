@@ -36,12 +36,19 @@ class PrefixTrie {
   void FindContaining(const Ipv6Address& addr, std::vector<Hit>* out) const;
   void FindContaining(const Ipv6Network& network, std::vector<Hit>* out) const;
 
-  size_t num_prefixes() const { return num_prefixes_; }
+  size_t num_prefixes() const { return terminals_.size(); }
 
  private:
+  // Prefixes ending exactly at a node form a list through Terminal::next, in
+  // insertion order, so the whole trie is two flat arrays.
   struct Node {
     int32_t child[2] = {-1, -1};
-    std::vector<ParamRef> terminals;  // Prefixes ending exactly at this node.
+    int32_t first_terminal = -1;
+    int32_t last_terminal = -1;
+  };
+  struct Terminal {
+    ParamRef ref;
+    int32_t next;
   };
 
   void InsertBits(const std::array<uint8_t, 16>& bytes, int prefix_len, bool v6, ParamRef ref);
@@ -51,9 +58,9 @@ class PrefixTrie {
   // IPv4 and IPv6 live in separate roots so a /8 IPv4 prefix can never "contain" an
   // IPv6 address that happens to share leading bits.
   std::vector<Node> nodes_;
+  std::vector<Terminal> terminals_;
   int32_t root4_;
   int32_t root6_;
-  size_t num_prefixes_ = 0;
 };
 
 }  // namespace concord

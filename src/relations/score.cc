@@ -32,7 +32,7 @@ double DigitsScore(size_t digits, bool leading_small) {
 
 }  // namespace
 
-double KeyScore(const std::string& key) {
+double KeyScore(std::string_view key) {
   if (key.empty()) {
     return 0.0;
   }

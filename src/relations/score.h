@@ -8,7 +8,7 @@
 #ifndef SRC_RELATIONS_SCORE_H_
 #define SRC_RELATIONS_SCORE_H_
 
-#include <string>
+#include <string_view>
 
 #include "src/value/value.h"
 
@@ -21,7 +21,7 @@ double PrefixScore(int prefix_len, bool is_v6);
 // Score of a shared canonical key (equality buckets and affix overlaps). Digit-only
 // keys score by magnitude step (1 scores near zero, 3852 scores high); other text
 // scores by length.
-double KeyScore(const std::string& key);
+double KeyScore(std::string_view key);
 
 // Score of an untransformed value; dispatches per type.
 double ValueScore(const Value& value);

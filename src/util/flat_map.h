@@ -48,6 +48,10 @@ struct FlatHash<std::string> {
   uint64_t operator()(std::string_view key) const { return Fnv1a64(key); }
 };
 
+// View keys: the map stores only the view, so the viewed text must outlive it.
+template <>
+struct FlatHash<std::string_view> : FlatHash<std::string> {};
+
 template <typename Key, typename T, typename Hash = FlatHash<Key>>
 class FlatMap {
  public:

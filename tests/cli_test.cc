@@ -379,6 +379,9 @@ TEST_F(CliTest, CheckProfileCoversTheCheckStages) {
             0);
   EXPECT_NE(out.find("profile: per-stage breakdown"), std::string::npos);
   EXPECT_NE(out.find("check/total"), std::string::npos);
+  // Loading the configs bills to the verb that asked for it.
+  EXPECT_NE(out.find("check/parse"), std::string::npos);
+  EXPECT_EQ(out.find("learn/"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, JsonReportCarriesErrorEnvelopeAndCompatV0RestoresLegacyShape) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/relations/affix_trie.h"
-#include "src/relations/equality_index.h"
 #include "src/relations/prefix_trie.h"
 #include "src/relations/score.h"
 #include "src/relations/transform.h"
@@ -202,20 +201,6 @@ TEST(AffixTrie, EmptyKeyIgnored) {
   std::vector<AffixTrie::Hit> hits;
   trie.FindAffixesOf("anything", &hits);
   EXPECT_TRUE(hits.empty());
-}
-
-// ---------- Equality index ----------
-
-TEST(EqualityIndex, GroupsByKey) {
-  EqualityIndex index;
-  index.Insert("251", Ref(1, 0, 10));
-  index.Insert("251", Ref(2, 1, 20));
-  index.Insert("6e", Ref(3));
-  ASSERT_NE(index.Lookup("251"), nullptr);
-  EXPECT_EQ(index.Lookup("251")->size(), 2u);
-  EXPECT_EQ(index.Lookup("6e")->size(), 1u);
-  EXPECT_EQ(index.Lookup("missing"), nullptr);
-  EXPECT_EQ(index.num_keys(), 2u);
 }
 
 // ---------- Scoring ----------

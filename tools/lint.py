@@ -38,11 +38,13 @@ contains this script. Rules (each with a stable id, shown in findings):
                   would bypass the corruption detection and crash-safety those
                   frames provide.
   hot-map         std::unordered_map/set (and the <unordered_map>/<unordered_set>
-                  includes) are banned in src/check/ and src/relations/ — the
-                  check hot path uses the open-addressing FlatMap
+                  includes) are banned in src/check/, src/learn/ and
+                  src/relations/ — the checker's scan and the learner's mine
+                  and aggregate stages use the open-addressing FlatMap
                   (src/util/flat_map.h) or flat vectors; node-based hashing
-                  costs a pointer chase per probe. Annotate a line with
-                  `// lint: allow hot-map` only with a measured justification.
+                  costs a heap node per entry and a pointer chase per probe.
+                  Annotate a line with `// lint: allow hot-map` only with a
+                  measured justification.
   closed-enum-switch
                   switches over the closed enums ContractKind, RelationKind,
                   and ErrorCode in src/ must not have a `default:` label: a
@@ -257,7 +259,7 @@ HOT_MAP_RE = re.compile(
     r"\bstd::unordered_(?:map|set|multimap|multiset)\b"
     r"|#include\s*<unordered_(?:map|set)>"
 )
-HOT_MAP_DIRS = ("src/check/", "src/relations/")
+HOT_MAP_DIRS = ("src/check/", "src/learn/", "src/relations/")
 HOT_MAP_ALLOW = "lint: allow hot-map"
 
 
@@ -270,7 +272,7 @@ def check_hot_map(rel, lines, raw_by_line, report):
         m = HOT_MAP_RE.search(line)
         if m and HOT_MAP_ALLOW not in raw_by_line.get(lineno, ""):
             report("hot-map", rel, lineno,
-                   f"{m.group(0).strip()} on the check hot path — use FlatMap "
+                   f"{m.group(0).strip()} on a hot path — use FlatMap "
                    "(src/util/flat_map.h) or a flat vector; node-based hashing "
                    "is a pointer chase per probe. '// lint: allow hot-map' "
                    "overrides with a measured justification")
