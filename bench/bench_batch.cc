@@ -11,7 +11,7 @@
 //      single-config `check` requests, plus the `check_batch` verb whose slots
 //      must be byte-identical to the standalone responses (gated).
 //   3. Socket serve path — the acceptance gate. The same comparison through a
-//      worker behind a real Unix socket: 100 single-config round trips vs one
+//      service behind a real Unix socket: 100 single-config round trips vs one
 //      round trip whose `check` carries all 100 configs into one batched
 //      Check. This is the deployment batching exists for (a CI/CD client
 //      validating a fleet), and where the fixed cost being amortized —
@@ -25,13 +25,12 @@
 // Results merge into BENCH_SERVE.json under a "batch" member, preserving
 // whatever bench_overload last wrote (that bench still overwrites the file
 // wholesale, so run it before this one when refreshing both).
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -47,7 +46,6 @@
 #include "src/learn/index.h"
 #include "src/learn/learner.h"
 #include "src/service/service.h"
-#include "src/service/shard_router.h"
 #include "src/service/socket_server.h"
 #include "src/util/stopwatch.h"
 #include "src/util/trace.h"
@@ -159,22 +157,9 @@ std::string CheckBatchLine(const GeneratedCorpus& corpus, size_t count) {
   return request.Serialize(0);
 }
 
-// One request over a fresh connection — the shape of a CI loop shelling out
-// per config (each CLI/curl invocation dials, sends one line, reads one
-// line, hangs up). The batched client pays this setup once for all 100
-// configs; the sequential baseline pays it per config.
-std::string RoundTrip(const std::string& socket_path, const std::string& line) {
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return "";
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
+// Sends one request line on a connected fd and returns its one-line reply
+// (without the newline); "" when the connection fails.
+std::string Exchange(int fd, const std::string& line) {
   std::string framed = line;
   framed.push_back('\n');
   size_t written = 0;
@@ -184,7 +169,6 @@ std::string RoundTrip(const std::string& socket_path, const std::string& line) {
       if (errno == EINTR) {
         continue;
       }
-      ::close(fd);
       return "";
     }
     written += static_cast<size_t>(n);
@@ -204,65 +188,25 @@ std::string RoundTrip(const std::string& socket_path, const std::string& line) {
       break;
     }
   }
-  ::close(fd);
   while (!reply.empty() && (reply.back() == '\n' || reply.back() == '\r')) {
     reply.pop_back();
   }
   return reply;
 }
 
-// In-process workers behind real Unix sockets fronted by a ShardRouter — the
-// same wiring `concord serve --shards N` builds with processes, and the same
-// harness bench_store uses. One shard is enough here: the gate measures
-// round-trip amortization, not fan-out.
-struct Cluster {
-  std::vector<std::unique_ptr<Service>> workers;
-  std::vector<std::unique_ptr<std::ostringstream>> errs;
-  std::vector<std::thread> threads;
-  std::vector<std::string> socket_paths;
-  std::unique_ptr<ShardRouter> router;
-
-  static std::unique_ptr<Cluster> Start(const std::filesystem::path& dir,
-                                        size_t shards) {
-    auto cluster = std::make_unique<Cluster>();
-    ShardRouterOptions options;
-    for (size_t i = 0; i < shards; ++i) {
-      std::string socket =
-          (dir / ("batch-" + std::to_string(i) + ".sock")).string();
-      options.worker_sockets.push_back(socket);
-      cluster->socket_paths.push_back(socket);
-      cluster->workers.push_back(std::make_unique<Service>(ServiceOptions{}));
-      cluster->errs.push_back(std::make_unique<std::ostringstream>());
-      SocketServerOptions server;
-      server.install_signal_handlers = false;
-      server.idle_timeout_ms = 0;
-      Service* worker = cluster->workers.back().get();
-      std::ostringstream* err = cluster->errs.back().get();
-      cluster->threads.emplace_back([worker, err, socket, server] {
-        RunHandlerSocket(*worker, socket, *err, nullptr, server);
-      });
-    }
-    cluster->router = std::make_unique<ShardRouter>(options);
-    std::string error;
-    if (!cluster->router->Connect(&error)) {
-      std::fprintf(stderr, "bench_batch: cluster connect failed: %s\n",
-                   error.c_str());
-      return nullptr;
-    }
-    return cluster;
+// One request over a fresh connection — the shape of a CI loop shelling out
+// per config (each CLI/curl invocation dials, sends one line, reads one
+// line, hangs up). The batched client pays this setup once for all 100
+// configs; the sequential baseline pays it per config.
+std::string RoundTrip(const std::string& socket_path, const std::string& line) {
+  int fd = DialUnixClient(socket_path, nullptr);
+  if (fd < 0) {
+    return "";
   }
-
-  ~Cluster() {
-    if (router != nullptr && !router->shutdown_requested()) {
-      router->HandleLine(R"({"v":1,"verb":"shutdown"})");
-    }
-    for (std::thread& thread : threads) {
-      if (thread.joinable()) {
-        thread.join();
-      }
-    }
-  }
-};
+  std::string reply = Exchange(fd, line);
+  ::close(fd);
+  return reply;
+}
 
 struct SweepPoint {
   size_t n = 0;
@@ -490,21 +434,41 @@ int main() {
   double socket_batch_speedup = 0;
   bool socket_slots_identical = false;
   bool socket_ok = false;
-  if (std::unique_ptr<Cluster> cluster = Cluster::Start(socket_dir, 1)) {
+  // A second Service behind the epoll frontend on a background thread; `fd`
+  // is one persistent client connection to it.
+  Service socket_service{ServiceOptions{}};
+  const std::string socket_path = (socket_dir / "batch.sock").string();
+  std::ostringstream server_err;
+  SocketServerOptions server_options;
+  server_options.install_signal_handlers = false;
+  server_options.idle_timeout_ms = 0;
+  std::thread server_thread([&] {
+    RunServiceSocket(socket_service, socket_path, server_err, nullptr,
+                     server_options);
+  });
+  std::string dial_error;
+  int fd = -1;
+  for (int attempt = 0; attempt < 500 && fd < 0; ++attempt) {
+    fd = DialUnixClient(socket_path, &dial_error);
+    if (fd < 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  if (fd >= 0) {
     socket_ok = true;
-    cluster->router->HandleLine(LearnLine(corpus, sample_size));
+    Exchange(fd, LearnLine(corpus, sample_size));
     for (const std::string& line : single_lines) {  // Warm every cache.
-      cluster->router->HandleLine(line);
+      Exchange(fd, line);
     }
     std::vector<std::string> socket_oracle;
     for (const std::string& line : single_lines) {
-      socket_oracle.push_back(cluster->router->HandleLine(line));
+      socket_oracle.push_back(Exchange(fd, line));
     }
-    cluster->router->HandleLine(wide_line);
-    cluster->router->HandleLine(batch_line);
+    Exchange(fd, wide_line);
+    Exchange(fd, batch_line);
 
     std::optional<JsonValue> batch_response =
-        JsonValue::Parse(cluster->router->HandleLine(batch_line));
+        JsonValue::Parse(Exchange(fd, batch_line));
     const JsonValue* results =
         batch_response ? batch_response->Find("results") : nullptr;
     if (results != nullptr && results->is_array() &&
@@ -518,31 +482,30 @@ int main() {
       }
     }
 
-    const std::string& worker_socket = cluster->socket_paths[0];
-    RoundTrip(worker_socket, single_lines[0]);  // Warm the accept path.
+    RoundTrip(socket_path, single_lines[0]);  // Warm the accept path.
     const int kSocketReps = EnvInt("CONCORD_BATCH_SOCKET_REPS", 5);
     Stopwatch socket_seq_watch;
     for (int r = 0; r < kSocketReps; ++r) {
       for (const std::string& line : single_lines) {
-        RoundTrip(worker_socket, line);
+        RoundTrip(socket_path, line);
       }
     }
     socket_seq_s = socket_seq_watch.ElapsedSeconds() / kSocketReps;
     Stopwatch socket_persistent_watch;
     for (int r = 0; r < kSocketReps; ++r) {
       for (const std::string& line : single_lines) {
-        cluster->router->HandleLine(line);
+        Exchange(fd, line);
       }
     }
     socket_persistent_s = socket_persistent_watch.ElapsedSeconds() / kSocketReps;
     Stopwatch socket_wide_watch;
     for (int r = 0; r < kSocketReps; ++r) {
-      RoundTrip(worker_socket, wide_line);
+      RoundTrip(socket_path, wide_line);
     }
     socket_wide_s = socket_wide_watch.ElapsedSeconds() / kSocketReps;
     Stopwatch socket_batch_watch;
     for (int r = 0; r < kSocketReps; ++r) {
-      RoundTrip(worker_socket, batch_line);
+      RoundTrip(socket_path, batch_line);
     }
     socket_batch_s = socket_batch_watch.ElapsedSeconds() / kSocketReps;
     socket_wide_speedup = socket_wide_s > 0 ? socket_seq_s / socket_wide_s : 0;
@@ -564,8 +527,15 @@ int main() {
                 socket_batch_speedup);
     std::printf("socket check_batch slots byte-identical: %s\n",
                 socket_slots_identical ? "yes" : "NO");
+    Exchange(fd, R"({"v":1,"verb":"shutdown"})");
+    ::close(fd);
   } else {
-    std::printf("\nsocket phase skipped: cluster failed to start\n");
+    socket_service.RequestShutdown();
+  }
+  server_thread.join();
+  if (!socket_ok) {
+    std::printf("\nsocket phase skipped: %s %s\n", dial_error.c_str(),
+                server_err.str().c_str());
   }
   std::filesystem::remove_all(socket_dir);
 

@@ -81,24 +81,8 @@ struct SkippedFile {
   ErrorCode code = ErrorCode::kParseFailed;
 };
 
-// One qualifying observation of a uniquely-constrained parameter, recorded by
-// the checker's shard mode instead of running the global unique pass. A shard
-// router merges the logs of every shard (in original batch order) and replays
-// the pass once, so a sharded check reports exactly the cross-config reuse a
-// single process would (DESIGN.md §10).
-struct UniqueObservationLogEntry {
-  size_t contract_index = 0;  // Into ContractSet::contracts (same set on every shard).
-  size_t config_ordinal = 0;  // Into the checked batch, in checker order.
-  int line_number = 0;
-  std::string type_name;  // ValueTypeName of the observed value.
-  std::string value;      // Canonical Value::ToString (identity + message text).
-};
-
 struct CheckResult {
   std::vector<Violation> violations;
-
-  // Filled (and unique violations suppressed) in shard mode only.
-  std::vector<UniqueObservationLogEntry> unique_log;
 
   // Files excluded from this run, with reasons. Filled by the load layer (CLI /
   // service), not by the checker itself.
@@ -143,14 +127,6 @@ struct CheckOptions {
   // surface in another's Wait()).
   Deadline deadline;
 
-  // Shard mode: unique contracts are cross-config, so a worker that sees only
-  // its partition cannot judge them. Instead of emitting unique violations the
-  // checker records every qualifying observation into CheckResult::unique_log
-  // (in the exact order the global pass would visit them); coverage marking is
-  // per-observation and still happens locally. The router replays the merged
-  // log to recover the violations.
-  bool collect_unique_log = false;
-
   // Shards the contract-major scan across worker threads (1 = serial, 0 or
   // negative = hardware concurrency). When `pool` is given it is used instead
   // of spawning a fresh pool (the service reuses one pool across requests); it
@@ -182,9 +158,6 @@ class Checker {
 
   // Default deadline for the legacy overloads (CheckOptions::deadline wins).
   void set_deadline(const Deadline& deadline) { deadline_ = deadline; }
-
-  // Default shard mode for the legacy overloads (see CheckOptions).
-  void set_collect_unique_log(bool collect) { collect_unique_log_ = collect; }
 
   // Checks every contract and measures coverage.
   CheckResult Check(const Dataset& dataset, bool measure_coverage = true) const;
@@ -246,7 +219,6 @@ class Checker {
   int parallelism_;
   ThreadPool* pool_;
   Deadline deadline_;  // Default: unlimited.
-  bool collect_unique_log_ = false;
 
   // ---- Check plan, compiled once from the contract set. ----
   FlatMap<std::string, std::vector<TypeRule>> type_rules_;

@@ -1,13 +1,8 @@
 #include "src/cli/cli.h"
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <filesystem>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -26,7 +21,6 @@
 #include "src/pattern/parser.h"
 #include "src/report/report.h"
 #include "src/service/service.h"
-#include "src/service/shard_router.h"
 #include "src/service/socket_server.h"
 #include "src/store/record_io.h"
 #include "src/store/store.h"
@@ -791,8 +785,8 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
   return 0;
 }
 
-// Shared between the single-process and sharded serve paths: translates the
-// socket-frontend CLI flags into SocketServerOptions (DESIGN.md §11).
+// Translates the socket-frontend CLI flags into SocketServerOptions
+// (DESIGN.md §11).
 SocketServerOptions FrontendOptionsFromArgs(const ArgParser& args) {
   SocketServerOptions options;
   options.max_line_bytes = static_cast<size_t>(
@@ -817,118 +811,6 @@ SocketServerOptions FrontendOptionsFromArgs(const ArgParser& args) {
   options.write_high_watermark = static_cast<size_t>(std::max<int64_t>(
       1, args.GetInt("write-high-watermark").value_or(4 * 1024 * 1024)));
   return options;
-}
-
-// `concord serve --shards N`: the shard-router mode (DESIGN.md §10). The
-// frontend re-execs itself N times as single-shard workers — worker i serves
-// `<store-dir>/shard-<i>-of-<N>.sock` with store `<store-dir>/shard-<i>-of-<N>`
-// — then fans requests across them through a ShardRouter. A fixed shard count
-// keeps the partition function stable, so each worker's store keeps warming
-// the same slice of the config space across restarts.
-int RunShardedServe(const ArgParser& args, int shards, std::ostream& out,
-                    std::ostream& err) {
-  if (!args.Has("store-dir")) {
-    err << "error: --shards requires --store-dir (each worker owns a store partition)\n";
-    return 2;
-  }
-  if (args.GetBool("compat-v0")) {
-    err << "error: --shards speaks the v1 protocol only (no --compat-v0)\n";
-    return 2;
-  }
-  const std::string store_dir = args.Get("store-dir");
-  std::error_code fs_error;
-  std::filesystem::create_directories(store_dir, fs_error);
-  if (fs_error) {
-    err << "error: cannot create " << store_dir << ": " << fs_error.message() << "\n";
-    return 2;
-  }
-
-  std::vector<pid_t> workers;
-  std::vector<std::string> sockets;
-  for (int i = 0; i < shards; ++i) {
-    std::string suffix = "shard-" + std::to_string(i) + "-of-" + std::to_string(shards);
-    std::string socket_path = store_dir + "/" + suffix + ".sock";
-    std::vector<std::string> worker_args = {
-        "concord", "serve",
-        "--socket", socket_path,
-        "--store-dir", store_dir + "/" + suffix,
-        "--parallelism", args.Get("parallelism"),
-        "--cache-size", args.Get("cache-size"),
-        "--max-line-bytes", args.Get("max-line-bytes"),
-        // The router holds one long-lived connection per worker; it must not
-        // be reclaimed as idle between requests.
-        "--idle-timeout-ms", "0",
-        "--quiet"};
-    if (args.Has("lexer")) {
-      worker_args.push_back("--lexer");
-      worker_args.push_back(args.Get("lexer"));
-    }
-    for (const std::string& spec : args.GetAll("contracts")) {
-      worker_args.push_back("--contracts");
-      worker_args.push_back(spec);
-    }
-    std::vector<char*> worker_argv;
-    worker_argv.reserve(worker_args.size() + 1);
-    for (std::string& arg : worker_args) {
-      worker_argv.push_back(arg.data());
-    }
-    worker_argv.push_back(nullptr);
-    pid_t pid = ::fork();
-    if (pid == 0) {
-      ::execv("/proc/self/exe", worker_argv.data());
-      _exit(127);  // exec failed; the router's connect timeout reports it.
-    }
-    if (pid < 0) {
-      err << "error: fork: worker " << i << " failed to spawn\n";
-      for (pid_t child : workers) {
-        ::kill(child, SIGTERM);
-        ::waitpid(child, nullptr, 0);
-      }
-      return 2;
-    }
-    workers.push_back(pid);
-    sockets.push_back(std::move(socket_path));
-  }
-
-  ShardRouterOptions router_options;
-  router_options.worker_sockets = sockets;
-  ShardRouter router(router_options);
-  int exit_code = 0;
-  std::string error;
-  if (!router.Connect(&error)) {
-    err << "error: cannot reach shard workers: " << error << "\n";
-    exit_code = 2;
-  } else {
-    std::ostream* summary = args.GetBool("quiet") ? nullptr : &err;
-    if (args.Has("socket") || args.Has("listen")) {
-      exit_code = RunHandlerSocket(router, args.Get("socket"), err, summary,
-                                   FrontendOptionsFromArgs(args));
-    } else {
-      std::string line;
-      while (!router.shutdown_requested() && std::getline(std::cin, line)) {
-        if (!line.empty() && line.back() == '\r') {
-          line.pop_back();
-        }
-        if (line.empty()) {
-          continue;
-        }
-        out << router.HandleLine(line) << "\n" << std::flush;
-      }
-      if (summary != nullptr) {
-        *summary << router.SummaryText();
-      }
-    }
-  }
-
-  // A `shutdown` request was already broadcast by the router; SIGTERM covers
-  // the EOF/signal/connect-failure exits and is harmless on an exiting worker.
-  for (pid_t child : workers) {
-    ::kill(child, SIGTERM);
-  }
-  for (pid_t child : workers) {
-    ::waitpid(child, nullptr, 0);
-  }
-  return exit_code;
 }
 
 // `concord serve`: the persistent batched checking service (src/service/).
@@ -969,9 +851,6 @@ int RunServe(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddFlag("store-dir",
                "durable artifact store directory: warm-restart persisted datasets "
                "and persist learn/update results (DESIGN.md §10)");
-  args.AddFlag("shards",
-               "fan out across N worker processes, each owning a store partition "
-               "(requires --store-dir)", "0");
   args.AddBoolFlag("quiet", "suppress the shutdown metrics summary");
   args.AddBoolFlag("prune-subsumed",
                    "skip subsumption-dominated contracts in coverage-off checks "
@@ -982,11 +861,6 @@ int RunServe(int argc, const char* const* argv, std::ostream& out, std::ostream&
   if (!args.Parse(argc, argv, 2)) {
     err << "error: " << args.error() << "\n" << args.Usage();
     return 2;
-  }
-
-  int shards = static_cast<int>(args.GetInt("shards").value_or(0));
-  if (shards > 1) {
-    return RunShardedServe(args, shards, out, err);
   }
 
   ServiceOptions options;

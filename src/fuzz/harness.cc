@@ -419,7 +419,7 @@ void RunServeIdentityOracle(const GeneratedCorpus& corpus,
   {
     ServerGuard guard(&service,
                       [&service, socket_path, &server_err, server_options] {
-                        RunHandlerSocket(service, socket_path, server_err,
+                        RunServiceSocket(service, socket_path, server_err,
                                          nullptr, server_options);
                       });
     int fd = DialWithRetry(socket_path, &error);

@@ -34,6 +34,22 @@ std::string HtmlEscape(std::string_view s) {
   return out;
 }
 
+// One violation as the report's array element ({category, contract, key,
+// config, line, message}).
+JsonValue ViolationJsonValue(const Violation& v, const ContractSet& set,
+                             const PatternTable& table) {
+  const Contract& c = set.contracts[v.contract_index];
+  JsonValue item = JsonValue::Object();
+  item.Set("category", JsonValue::String(std::string(ContractKindName(c.kind))));
+  item.Set("contract", JsonValue::String(c.ToString(table)));
+  // Stable identity for suppression files (src/contracts/suppression.h).
+  item.Set("key", JsonValue::String(c.Key(table)));
+  item.Set("config", JsonValue::String(v.config));
+  item.Set("line", JsonValue::Number(int64_t{v.line_number}));
+  item.Set("message", JsonValue::String(v.message));
+  return item;
+}
+
 }  // namespace
 
 JsonValue CoverageJsonValue(const CheckResult& result) {
@@ -48,20 +64,6 @@ JsonValue CoverageJsonValue(const CheckResult& result) {
   }
   coverage.Set("percentByKind", std::move(by_kind));
   return coverage;
-}
-
-JsonValue ViolationJsonValue(const Violation& v, const ContractSet& set,
-                             const PatternTable& table) {
-  const Contract& c = set.contracts[v.contract_index];
-  JsonValue item = JsonValue::Object();
-  item.Set("category", JsonValue::String(std::string(ContractKindName(c.kind))));
-  item.Set("contract", JsonValue::String(c.ToString(table)));
-  // Stable identity for suppression files (src/contracts/suppression.h).
-  item.Set("key", JsonValue::String(c.Key(table)));
-  item.Set("config", JsonValue::String(v.config));
-  item.Set("line", JsonValue::Number(int64_t{v.line_number}));
-  item.Set("message", JsonValue::String(v.message));
-  return item;
 }
 
 JsonValue ReportJsonValue(const CheckResult& result, const ContractSet& set,

@@ -31,13 +31,6 @@ JsonValue ReportJsonValue(const CheckResult& result, const ContractSet& set,
 // The coverage summary sub-object of the JSON report.
 JsonValue CoverageJsonValue(const CheckResult& result);
 
-// One violation as the report's array element ({category, contract, key,
-// config, line, message}). The shard router's replayed unique violations go
-// through this too, so merged reports stay byte-identical to single-process
-// ones.
-JsonValue ViolationJsonValue(const Violation& v, const ContractSet& set,
-                             const PatternTable& table);
-
 // Self-contained HTML page (inline CSS/JS; no external assets) with a search box and
 // per-category filters.
 std::string ReportHtml(const CheckResult& result, const ContractSet& set,

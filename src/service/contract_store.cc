@@ -2,21 +2,12 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 
 #include "src/analyze/analyzer.h"
 #include "src/contracts/contract_io.h"
 #include "src/util/io.h"
 
 namespace concord {
-
-ContractStore::Shard& ContractStore::ShardFor(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kNumShards];
-}
-
-const ContractStore::Shard& ContractStore::ShardFor(const std::string& name) const {
-  return shards_[std::hash<std::string>{}(name) % kNumShards];
-}
 
 bool ContractStore::Load(const std::string& name, const std::string& path,
                          std::string* error) {
@@ -51,24 +42,22 @@ bool ContractStore::Install(const std::string& name, const std::string& serializ
   entry->prunable_count = analysis.PrunableCount();
   entry->prune_mask = std::move(analysis.prunable);
 
-  Shard& shard = ShardFor(name);
-  MutexLock lock(shard.mu);
-  shard.sets[name] = std::move(entry);  // Hot swap; old entry drains via shared_ptr.
+  MutexLock lock(mu_);
+  sets_[name] = std::move(entry);  // Hot swap; old entry drains via shared_ptr.
   return true;
 }
 
 std::shared_ptr<LoadedContractSet> ContractStore::Get(const std::string& name) const {
-  const Shard& shard = ShardFor(name);
-  MutexLock lock(shard.mu);
-  auto it = shard.sets.find(name);
-  return it == shard.sets.end() ? nullptr : it->second;
+  MutexLock lock(mu_);
+  auto it = sets_.find(name);
+  return it == sets_.end() ? nullptr : it->second;
 }
 
 std::vector<std::shared_ptr<LoadedContractSet>> ContractStore::All() const {
   std::vector<std::shared_ptr<LoadedContractSet>> all;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (const auto& [name, entry] : shard.sets) {
+  {
+    MutexLock lock(mu_);
+    for (const auto& [name, entry] : sets_) {
       all.push_back(entry);
     }
   }

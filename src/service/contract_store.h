@@ -1,18 +1,16 @@
-// Sharded, read-mostly store of loaded contract sets, keyed by name (role/dataset).
+// Read-mostly store of loaded contract sets, keyed by name (role/dataset).
 //
 // Each entry bundles everything one `check` needs: the parsed ContractSet, the
 // pattern table its patterns are interned in (which keeps growing as new configs
 // are parsed against it — that growth is the cross-request amortization win), the
 // parse options recorded in the contract file, and a parsed-config LRU cache.
 //
-// Lookups take only a per-shard mutex for a map probe; entries are handed out as
+// Lookups hold one mutex only for a map probe; entries are handed out as
 // shared_ptr so `reload` can hot-swap a fresh entry while in-flight requests finish
-// against the old one. The shard count bounds contention when future PRs serve
-// concurrent connections; correctness never depends on it.
+// against the old one.
 #ifndef SRC_SERVICE_CONTRACT_STORE_H_
 #define SRC_SERVICE_CONTRACT_STORE_H_
 
-#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -64,7 +62,7 @@ struct LoadedContractSet {
   // GUARDED_BY(parse_mu): checkers read already-interned patterns lock-free
   // while another request's parse phase appends new ones under this mutex
   // (PatternTable storage is append-only and id-stable). Leaf lock in the
-  // hierarchy: never acquired while holding a shard or dataset lock.
+  // hierarchy: never acquired while holding the store or a dataset lock.
   Mutex parse_mu;
 };
 
@@ -73,7 +71,7 @@ class ContractStore {
   explicit ContractStore(size_t cache_capacity) : cache_capacity_(cache_capacity) {}
 
   // Loads (or hot-swaps) the named set from `path`. Parsing happens outside the
-  // shard lock; on failure the previous entry, if any, stays untouched.
+  // store lock; on failure the previous entry, if any, stays untouched.
   bool Load(const std::string& name, const std::string& path, std::string* error);
 
   // Installs (or hot-swaps) a set from serialized contract text that never
@@ -89,19 +87,10 @@ class ContractStore {
   std::vector<std::shared_ptr<LoadedContractSet>> All() const;
 
  private:
-  static constexpr size_t kNumShards = 8;
-
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<LoadedContractSet>> sets
-        CONCORD_GUARDED_BY(mu);
-  };
-
-  Shard& ShardFor(const std::string& name);
-  const Shard& ShardFor(const std::string& name) const;
-
   size_t cache_capacity_;
-  std::array<Shard, kNumShards> shards_;
+  mutable Mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<LoadedContractSet>> sets_
+      CONCORD_GUARDED_BY(mu_);
 };
 
 }  // namespace concord

@@ -70,7 +70,7 @@ struct Conn {
   size_t out_off CONCORD_GUARDED_BY(mu) = 0;  // Prefix of `out` already sent.
 };
 
-// The one family of replies built outside LineHandler::HandleLine (shed work
+// The one family of replies built outside Service::HandleLine (shed work
 // and oversize lines never reach the parser), so both wire shapes are mirrored
 // by hand exactly as the service would render them. Messages are fixed strings
 // with no characters needing JSON escaping.
@@ -118,9 +118,9 @@ std::string PeerIdentity(int fd, bool tcp) {
 
 class EventLoop {
  public:
-  EventLoop(LineHandler& handler, const SocketServerOptions& options,
+  EventLoop(Service& service, const SocketServerOptions& options,
             int signal_fd, std::ostream& err)
-      : handler_(handler),
+      : service_(service),
         options_(options),
         signal_fd_(signal_fd),
         err_(err),
@@ -215,7 +215,7 @@ class EventLoop {
 
   bool Loop() {
     while (true) {
-      if (!draining_ && handler_.shutdown_requested()) {
+      if (!draining_ && service_.shutdown_requested()) {
         StartDrain();
       }
       if (draining_) {
@@ -242,8 +242,8 @@ class EventLoop {
         if (fd == signal_fd_) {
           // Parity with the poll()-era loop: the byte is left in the shared
           // signal pipe so every concurrently-running loop in this process
-          // observes the signal; RunHandlerSocket drains it after the run.
-          handler_.RequestShutdown();
+          // observes the signal; RunServiceSocket drains it after the run.
+          service_.RequestShutdown();
         } else if (fd == completion_fd_) {
           DrainCompletionFd();
         } else if (IsListener(fd)) {
@@ -261,11 +261,16 @@ class EventLoop {
     }
   }
 
+  // The longest the loop blocks in epoll_wait. Service::RequestShutdown from
+  // another thread (an embedder stopping the server) touches no descriptor
+  // the loop waits on, so an idle loop must still re-read the flag.
+  static constexpr int64_t kMaxWaitMs = 100;
+
   int ComputeTimeoutMs() {
     int64_t now = NowMs();
-    int64_t timeout = -1;
+    int64_t timeout = kMaxWaitMs;
     if (draining_) {
-      timeout = std::clamp<int64_t>(drain_deadline_ms_ - now, 0, 100);
+      timeout = std::clamp<int64_t>(drain_deadline_ms_ - now, 0, kMaxWaitMs);
     } else if (options_.idle_timeout_ms > 0) {
       int64_t next_deadline = std::numeric_limits<int64_t>::max();
       for (auto& [fd, conn] : conns_) {
@@ -275,12 +280,10 @@ class EventLoop {
         }
       }
       if (next_deadline != std::numeric_limits<int64_t>::max()) {
-        timeout = std::clamp<int64_t>(next_deadline - now + 1, 0,
-                                      std::numeric_limits<int>::max());
+        timeout = std::clamp<int64_t>(next_deadline - now + 1, 0, kMaxWaitMs);
       }
     }
-    return static_cast<int>(
-        std::min<int64_t>(timeout, std::numeric_limits<int>::max()));
+    return static_cast<int>(timeout);
   }
 
   // ---- Accept path ----------------------------------------------------------
@@ -319,7 +322,7 @@ class EventLoop {
                               "server overloaded: " +
                                   std::to_string(options_.max_connections) +
                                   " connections already open",
-                              handler_.compat_v0()) +
+                              service_.compat_v0()) +
             "\n";
         [[maybe_unused]] ssize_t n =
             ::send(client, reply.data(), reply.size(), MSG_NOSIGNAL);
@@ -458,7 +461,7 @@ class EventLoop {
                         ErrorCode::kLineTooLong,
                         "request line exceeds " +
                             std::to_string(options_.max_line_bytes) + " bytes",
-                        handler_.compat_v0()));
+                        service_.compat_v0()));
     conn.discard_input = true;
     conn.close_after_flush = true;
     conn.in.clear();
@@ -479,7 +482,7 @@ class EventLoop {
                           std::to_string(options_.rate_limit) +
                           " requests per " +
                           std::to_string(options_.rate_window_ms) + " ms",
-                      handler_.compat_v0()));
+                      service_.compat_v0()));
         return;
       case AdmissionDecision::kOverloadedGlobal:
         CountShed("global_inflight");
@@ -489,7 +492,7 @@ class EventLoop {
                       "server overloaded: " +
                           std::to_string(options_.max_inflight) +
                           " requests already in flight",
-                      handler_.compat_v0()));
+                      service_.compat_v0()));
         return;
       case AdmissionDecision::kOverloadedClient:
         CountShed("client_inflight");
@@ -499,7 +502,7 @@ class EventLoop {
                       "client overloaded: " +
                           std::to_string(options_.max_inflight_per_client) +
                           " requests already in flight from this peer",
-                      handler_.compat_v0()));
+                      service_.compat_v0()));
         return;
       case AdmissionDecision::kAdmit:
         break;
@@ -513,7 +516,7 @@ class EventLoop {
     // find() not conns_[...]: the map owns one reference, the task another.
     std::shared_ptr<Conn> shared = conns_.find(conn.fd)->second;
     pool_.Submit([this, shared, seq, line = std::move(line)]() mutable {
-      std::string response = handler_.HandleLine(line);
+      std::string response = service_.HandleLine(line);
       admission_.Complete(shared->peer);
       UpdateQueueGauge();
       {
@@ -731,7 +734,7 @@ class EventLoop {
   // ---- Members (declaration order is initialization order; the pool is last
   // so it is destroyed first, joining workers while everything they reference
   // is still alive) ----
-  LineHandler& handler_;
+  Service& service_;
   const SocketServerOptions options_;
   const int signal_fd_;
   std::ostream& err_;
@@ -752,10 +755,10 @@ class EventLoop {
 
 }  // namespace
 
-int RunEventLoop(LineHandler& handler, const SocketServerOptions& options,
+int RunEventLoop(Service& service, const SocketServerOptions& options,
                  std::vector<EventLoopListener> listeners, int signal_wake_fd,
                  std::ostream& err) {
-  EventLoop loop(handler, options, signal_wake_fd, err);
+  EventLoop loop(service, options, signal_wake_fd, err);
   return loop.Run(std::move(listeners));
 }
 

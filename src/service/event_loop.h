@@ -5,7 +5,7 @@
 // It performs incremental NDJSON framing into per-connection read buffers,
 // admission-checks each complete line (src/service/admission.h), and submits
 // admitted lines to a ThreadPool whose depth is bounded by the admission caps —
-// that pool is the only place LineHandler::HandleLine runs. Responses are
+// that pool is the only place Service::HandleLine runs. Responses are
 // sequenced per connection: every parsed line gets a slot in arrival order and
 // replies (including shed-rejection envelopes) are flushed strictly in that
 // order, so pipelined clients can correlate by position even without ids.
@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "src/service/line_handler.h"
+#include "src/service/service.h"
 #include "src/service/socket_server.h"
 
 namespace concord {
@@ -31,11 +31,11 @@ struct EventLoopListener {
   std::string unlink_path;  // Unix socket path, removed when accepting stops.
 };
 
-// Serves until the handler requests shutdown (a `shutdown` verb, an external
+// Serves until the service requests shutdown (a `shutdown` verb, an external
 // RequestShutdown, or a byte on `signal_wake_fd` from the signal handler) and
 // the drain completes. Closes every listener and connection before returning.
 // Returns 0 on clean shutdown, 2 on a fatal epoll/accept error.
-int RunEventLoop(LineHandler& handler, const SocketServerOptions& options,
+int RunEventLoop(Service& service, const SocketServerOptions& options,
                  std::vector<EventLoopListener> listeners, int signal_wake_fd,
                  std::ostream& err);
 

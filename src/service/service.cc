@@ -49,16 +49,12 @@ bool VerbAllowsField(const std::string& verb, const std::string& field) {
   }
   if (verb == "check" || verb == "coverage") {
     return field == "contracts" || field == "configs" || field == "metadata" ||
-           field == "deadline_ms" || field == "coverage" || field == "shard";
+           field == "deadline_ms" || field == "coverage";
   }
   if (verb == "check_batch") {
     // Sub-request fields (configs, deadline_ms, coverage) live inside the
     // "requests" entries and are validated per slot by the check dispatch.
     return field == "contracts" || field == "metadata" || field == "requests";
-  }
-  if (verb == "check_unique") {
-    // Internal: the shard router's phase-2 replay of the merged unique log.
-    return field == "contracts" || field == "log";
   }
   if (verb == "analyze") {
     return field == "contracts" || field == "dataset" || field == "deadline_ms";
@@ -359,7 +355,7 @@ JsonValue Service::Dispatch(const std::string& verb, const JsonValue& request) {
     bool known = verb == "check" || verb == "check_batch" || verb == "coverage" ||
                  verb == "analyze" || verb == "reload" || verb == "learn" ||
                  verb == "update" || verb == "stats" || verb == "metrics" ||
-                 verb == "shutdown" || verb == "check_unique";
+                 verb == "shutdown";
     if (known) {
       for (const auto& [field, value] : request.members()) {
         if (!VerbAllowsField(verb, field)) {
@@ -378,9 +374,6 @@ JsonValue Service::Dispatch(const std::string& verb, const JsonValue& request) {
   }
   if (verb == "coverage") {
     return HandleCheck(request, /*coverage_listing=*/true);
-  }
-  if (verb == "check_unique") {
-    return HandleCheckUnique(request);
   }
   if (verb == "analyze") {
     return HandleAnalyze(request);
@@ -467,12 +460,6 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   if (auto ms = request.GetInt("deadline_ms"); ms.has_value() && *ms > 0) {
     deadline = Deadline::After(*ms);
   }
-
-  // Internal shard mode (DESIGN.md §10): the shard router fans a batch across
-  // workers. Each worker suppresses the cross-config unique pass (logging the
-  // observations instead) and reports raw coverage integers so the router can
-  // merge deterministically.
-  const bool shard_mode = request.GetBool("shard").value_or(false);
 
   const JsonValue* configs = request.Find("configs");
   if (configs == nullptr || !configs->is_array() || configs->items().empty()) {
@@ -604,7 +591,7 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
     cached_indexes.push_back(std::move(cached));
   }
   cache_span.reset();
-  if (cached_indexes.empty() && !shard_mode) {
+  if (cached_indexes.empty()) {
     throw ServiceError(ErrorCode::kParseFailed,
                        "all " + std::to_string(items.size()) +
                            " configs failed to parse (first: " + degraded.front().file +
@@ -620,14 +607,11 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   CheckOptions check_options;
   check_options.measure_coverage = measure_coverage;
   check_options.deadline = deadline;
-  check_options.collect_unique_log = shard_mode;
   check_options.parallelism = static_cast<int>(pool_.num_threads());
   check_options.pool = &pool_;
-  // Subsumption pruning (DESIGN.md §14). Not in shard mode: the worker's
-  // response carries the raw unique-observation log, whose entries for a
-  // pruned contract would visibly disappear. The checker itself refuses the
-  // mask when coverage is on.
-  if (options_.prune_subsumed && !shard_mode && !entry->prune_mask.empty()) {
+  // Subsumption pruning (DESIGN.md §14). The checker itself refuses the mask
+  // when coverage is on.
+  if (options_.prune_subsumed && !entry->prune_mask.empty()) {
     check_options.prune_mask = &entry->prune_mask;
   }
   CheckResult result;
@@ -663,39 +647,6 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   } else {
     body.Set("report",
              ReportJsonValue(result, entry->set, entry->table, options_.compat_v0));
-  }
-  if (shard_mode) {
-    // Everything the router needs that the human-facing report cannot provide:
-    // which configs were actually checked (ordinals anchor the unique log), the
-    // raw observation log, and integer coverage counts (percents are not
-    // invertible, so merged percents are recomputed from these).
-    JsonValue shard = JsonValue::Object();
-    JsonValue checked = JsonValue::Array();
-    for (const auto& cached : cached_indexes) {
-      checked.Append(JsonValue::String(cached->config->name));
-    }
-    shard.Set("checked", std::move(checked));
-    JsonValue log = JsonValue::Array();
-    for (const UniqueObservationLogEntry& e : result.unique_log) {
-      JsonValue item = JsonValue::Object();
-      item.Set("c", JsonValue::Number(ToInt64(e.contract_index)));
-      item.Set("i", JsonValue::Number(ToInt64(e.config_ordinal)));
-      item.Set("line", JsonValue::Number(int64_t{e.line_number}));
-      item.Set("t", JsonValue::String(e.type_name));
-      item.Set("v", JsonValue::String(e.value));
-      log.Append(std::move(item));
-    }
-    shard.Set("unique_log", std::move(log));
-    JsonValue cover = JsonValue::Object();
-    cover.Set("total_lines", JsonValue::Number(ToInt64(result.total_lines)));
-    cover.Set("covered_lines", JsonValue::Number(ToInt64(result.covered_lines)));
-    JsonValue by_kind = JsonValue::Array();
-    for (size_t k = 0; k < kNumCoverageKinds; ++k) {
-      by_kind.Append(JsonValue::Number(ToInt64(result.covered_by_kind[k])));
-    }
-    cover.Set("by_kind", std::move(by_kind));
-    shard.Set("cover", std::move(cover));
-    body.Set("shard", std::move(shard));
   }
   return body;
 }
@@ -758,7 +709,8 @@ JsonValue Service::HandleCheckBatch(const JsonValue& request) {
       if (field == "id" || field == "v" || field == "verb" ||
           field == "contracts" || field == "metadata") {
         // Envelope fields are owned by the outer request; entries cannot
-        // override them (the shard router's per-slot split depends on this).
+        // override them, so every slot checks against the same set and
+        // metadata.
         continue;
       }
       // configs / deadline_ms / coverage; anything else is rejected per slot by
@@ -773,81 +725,6 @@ JsonValue Service::HandleCheckBatch(const JsonValue& request) {
   body.Set("contracts", JsonValue::String(name));
   body.Set("requests", JsonValue::Number(ToInt64(requests->items().size())));
   body.Set("results", std::move(results));
-  return body;
-}
-
-JsonValue Service::HandleCheckUnique(const JsonValue& request) {
-  // Resolve the contract set exactly like check does (the router forwards the
-  // original "contracts" member).
-  std::string name;
-  if (auto n = request.GetString("contracts")) {
-    name = *n;
-  } else {
-    auto all = store_.All();
-    if (all.size() != 1) {
-      throw ServiceError(ErrorCode::kMissingField,
-                         "'contracts' is required when " + std::to_string(all.size()) +
-                             " contract sets are loaded",
-                         "contracts");
-    }
-    name = all[0]->name;
-  }
-  std::shared_ptr<LoadedContractSet> entry = store_.Get(name);
-  if (entry == nullptr) {
-    throw ServiceError(ErrorCode::kUnknownContractSet,
-                       "unknown contract set '" + name + "' (reload it with a path)",
-                       name);
-  }
-  const JsonValue* log = request.Find("log");
-  if (log == nullptr || !log->is_array()) {
-    throw ServiceError(ErrorCode::kInvalidField,
-                       "'log' must be an array of unique-observation entries", "log");
-  }
-  // Replay of the checker's global unique pass over the merged, ordered log.
-  // Values are keyed by (contract, type, canonical text) — the identity the
-  // shards serialized — so the emitted violations match the single-process pass
-  // message for message.
-  std::map<std::string, std::pair<std::string, int64_t>> first;
-  JsonValue items = JsonValue::Array();
-  size_t count = 0;
-  for (const JsonValue& member : log->items()) {
-    auto contract = member.GetInt("c");
-    auto config = member.GetString("config");
-    auto line = member.GetInt("line");
-    auto type = member.GetString("t");
-    auto value = member.GetString("v");
-    if (!member.is_object() || !contract || !config || !line || !type || !value) {
-      throw ServiceError(ErrorCode::kInvalidField,
-                         "each log entry needs c, config, line, t, v members", "log");
-    }
-    if (*contract < 0 ||
-        static_cast<size_t>(*contract) >= entry->set.contracts.size()) {
-      throw ServiceError(ErrorCode::kInvalidField,
-                         "log entry contract index out of range", "log");
-    }
-    std::string key = std::to_string(*contract) + "\x01" + *type + "\x01" + *value;
-    auto [pos, inserted] = first.emplace(key, std::make_pair(*config, *line));
-    if (inserted) {
-      continue;
-    }
-    std::string message;
-    if (pos->second.first != *config) {
-      message = "value " + *value + " reuses a unique parameter (first seen in " +
-                pos->second.first + ":" + std::to_string(pos->second.second) + ")";
-    } else {
-      message = "value " + *value + " duplicated within the configuration (line " +
-                std::to_string(pos->second.second) + ")";
-    }
-    Violation violation{static_cast<size_t>(*contract), *config,
-                        static_cast<int>(*line), std::move(message)};
-    items.Append(ViolationJsonValue(violation, entry->set, entry->table));
-    ++count;
-  }
-  JsonValue body = JsonValue::Object();
-  body.Set("verb", JsonValue::String("check_unique"));
-  body.Set("contracts", JsonValue::String(name));
-  body.Set("violations", JsonValue::Number(ToInt64(count)));
-  body.Set("items", std::move(items));
   return body;
 }
 

@@ -56,7 +56,6 @@
 #include "src/learn/learner.h"
 #include "src/pattern/lexer.h"
 #include "src/service/contract_store.h"
-#include "src/service/line_handler.h"
 #include "src/service/metrics.h"
 #include "src/store/store.h"
 #include "src/util/error_code.h"
@@ -82,7 +81,7 @@ struct ServiceOptions {
   bool prune_subsumed = false;
 };
 
-class Service : public LineHandler {
+class Service {
  public:
   explicit Service(ServiceOptions options);
 
@@ -97,19 +96,19 @@ class Service : public LineHandler {
 
   // Handles one request line, returning exactly one line of JSON (no newline).
   // Never throws: every failure becomes an {"ok":false,...} response.
-  std::string HandleLine(const std::string& line) override;
+  std::string HandleLine(const std::string& line);
 
   // True once a shutdown request has been answered. Atomic because the socket
   // frontend serves connections from a pool while its accept loop polls this.
-  bool shutdown_requested() const override {
+  bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_acquire);
   }
 
   // Requests shutdown from outside the request stream (signal-driven drain).
-  void RequestShutdown() override { shutdown_.store(true, std::memory_order_release); }
+  void RequestShutdown() { shutdown_.store(true, std::memory_order_release); }
 
   // Human-readable metrics summary for the end of a session.
-  std::string SummaryText() const override { return metrics_.SummaryText(); }
+  std::string SummaryText() const { return metrics_.SummaryText(); }
 
   // Prometheus text exposition: request/cache/work families, per-stage trace
   // counters, and per-contract-set gauges. Body of the `metrics` verb.
@@ -122,7 +121,7 @@ class Service : public LineHandler {
 
   // True when the service speaks the legacy (pre-v1) wire shape; the socket
   // frontend consults this so its own replies (line_too_long) match.
-  bool compat_v0() const override { return options_.compat_v0; }
+  bool compat_v0() const { return options_.compat_v0; }
 
   // The durable store backing this service; nullptr without --store-dir.
   DurableStore* durable_store() { return durable_.get(); }
@@ -175,9 +174,6 @@ class Service : public LineHandler {
   JsonValue HandleReload(const JsonValue& request);
   JsonValue HandleLearn(const JsonValue& request);
   JsonValue HandleUpdate(const JsonValue& request);
-  // Internal shard-router verb: replays the merged unique-observation log
-  // (DESIGN.md §10) and returns the recovered violations as report JSON items.
-  JsonValue HandleCheckUnique(const JsonValue& request);
 
   // Installs every persisted contract set from the durable store at startup,
   // skipping relearning entirely; corrupt objects degrade to "relearn on next

@@ -177,7 +177,7 @@ void CloseListeners(std::vector<EventLoopListener>* listeners) {
 
 }  // namespace
 
-int RunHandlerSocket(LineHandler& service, const std::string& path, std::ostream& err,
+int RunServiceSocket(Service& service, const std::string& path, std::ostream& err,
                      std::ostream* summary, const SocketServerOptions& options) {
   std::vector<EventLoopListener> listeners;
   std::string error;
@@ -230,7 +230,11 @@ int RunHandlerSocket(LineHandler& service, const std::string& path, std::ostream
     ::sigaction(SIGINT, &sa, &old_int);
   }
 
-  int rc = RunEventLoop(service, options, std::move(listeners), wake_pipe[0], err);
+  SocketServerOptions wired = options;
+  if (wired.registry == nullptr) {
+    wired.registry = &service.metrics().registry();
+  }
+  int rc = RunEventLoop(service, wired, std::move(listeners), wake_pipe[0], err);
 
   if (options.install_signal_handlers) {
     ::sigaction(SIGTERM, &old_term, nullptr);
@@ -243,17 +247,6 @@ int RunHandlerSocket(LineHandler& service, const std::string& path, std::ostream
     *summary << service.SummaryText();
   }
   return rc;
-}
-
-int RunServiceSocket(Service& service, const std::string& path, std::ostream& err,
-                     std::ostream* summary, const SocketServerOptions& options) {
-  // Wire the service's own registry by default so the frontend's
-  // connection/shed/queue-depth metrics show up in the `metrics` verb.
-  SocketServerOptions wired = options;
-  if (wired.registry == nullptr) {
-    wired.registry = &service.metrics().registry();
-  }
-  return RunHandlerSocket(service, path, err, summary, wired);
 }
 
 int DialUnixClient(const std::string& path, std::string* error) {

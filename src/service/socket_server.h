@@ -22,7 +22,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "src/service/line_handler.h"
 #include "src/service/metrics.h"
 #include "src/service/service.h"
 
@@ -75,9 +74,9 @@ struct SocketServerOptions {
   // throttles itself, never the loop or other clients.
   size_t write_high_watermark = 4 * 1024 * 1024;
 
-  // When non-null, the frontend records connection/shed/queue-depth metrics
-  // here (concord_frontend_*); the single-process serve wires the service's
-  // own registry so the `metrics` verb exposes them.
+  // Where the frontend records connection/shed/queue-depth metrics
+  // (concord_frontend_*). Null means the served service's own registry, so
+  // the `metrics` verb exposes them.
   MetricsRegistry* registry = nullptr;
 };
 
@@ -90,16 +89,11 @@ struct SocketServerOptions {
 int RunServiceSocket(Service& service, const std::string& path, std::ostream& err,
                      std::ostream* summary, const SocketServerOptions& options = {});
 
-// The same frontend over the LineHandler abstraction — how the shard router
-// serves its socket. RunServiceSocket forwards here.
-int RunHandlerSocket(LineHandler& handler, const std::string& path,
-                     std::ostream& err, std::ostream* summary,
-                     const SocketServerOptions& options = {});
-
 // Dials an AF_UNIX stream socket as a client, returning the connected fd or -1
 // (with *error describing the failure when non-null). Lives here because raw
 // socket(2) calls are confined to the socket frontend modules (tools/lint.py
-// rule raw-socket); the shard router dials its workers through this.
+// rule raw-socket); the fuzz harness's socket oracle and the socket clients in
+// bench/ and perfbench/ dial through this.
 int DialUnixClient(const std::string& path, std::string* error);
 
 }  // namespace concord

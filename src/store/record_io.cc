@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -43,6 +44,23 @@ void WriteAll(int fd, const char* data, size_t size, const std::string& path) {
     data += n;
     size -= static_cast<size_t>(n);
   }
+}
+
+// fsyncs a directory, making the entries a rename just created or replaced
+// durable: fsyncing the file alone leaves the rename itself in the page cache.
+void SyncDirectory(const std::string& dir) {
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    throw std::runtime_error("store: cannot open directory: " + dir + ": " +
+                             std::strerror(errno));
+  }
+  if (::fsync(fd) != 0) {
+    int saved = errno;
+    ::close(fd);
+    throw std::runtime_error("store: fsync failed: " + dir + ": " +
+                             std::strerror(saved));
+  }
+  ::close(fd);
 }
 
 std::string ReadAll(const std::string& path) {
@@ -139,14 +157,18 @@ void WriteRecordFile(const std::string& path, RecordType type,
     throw std::runtime_error(FaultMessage("store_write") + ": " + path);
   }
   std::filesystem::path p(path);
+  std::string dir = p.has_parent_path() ? p.parent_path().string() : ".";
   if (p.has_parent_path()) {
     std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
+    std::filesystem::create_directories(dir, ec);
   }
-  // Same-directory temp so the final rename cannot cross filesystems; the pid
-  // suffix keeps concurrent writers (e.g. two shard workers sharing a parent
-  // directory by mistake) from clobbering each other's temp files.
-  std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  // Same-directory temp so the final rename cannot cross filesystems. The name
+  // is unique per call (pid plus a process-wide counter): two requests in one
+  // server can write the same content-addressed object at once, and a shared
+  // temp name would let one writer truncate the other's file before its rename.
+  static std::atomic<uint64_t> temp_counter{0};
+  std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(temp_counter.fetch_add(1, std::memory_order_relaxed));
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
     throw std::runtime_error("store: cannot open for writing: " + tmp + ": " +
@@ -171,6 +193,7 @@ void WriteRecordFile(const std::string& path, RecordType type,
     throw std::runtime_error("store: rename failed: " + path + ": " +
                              std::strerror(saved));
   }
+  SyncDirectory(dir);
 }
 
 bool ProbeRecordFile(const std::string& path, RecordType expected_type) {

@@ -17,10 +17,11 @@
 // relearn fallback (DESIGN.md §10). Corruption is a *data* outcome, never a
 // crash.
 //
-// Durability: WriteRecordFile writes to a same-directory temp file, fsyncs it,
-// and renames it over the destination, so readers only ever observe either the
-// old complete record or the new complete record (atomic manifest swap relies
-// on exactly this).
+// Durability: WriteRecordFile writes to a same-directory temp file unique to
+// the call, fsyncs it, renames it over the destination and fsyncs the
+// directory, so readers only ever observe either the old complete record or
+// the new complete record (atomic manifest swap relies on exactly this), and a
+// completed write survives a power loss.
 //
 // Policy (enforced by tools/lint.py rule `store-io`): all file I/O under
 // src/store/ goes through this module; no raw fopen/fstream/open elsewhere in
@@ -73,7 +74,8 @@ std::string UnframeRecord(std::string_view image, RecordType expected_type,
 std::string ReadRecordFile(const std::string& path, RecordType expected_type);
 
 // Frames `payload` and writes it to `path` crash-safely: temp file in the same
-// directory, fsync, rename over the destination. Creates parent directories.
+// directory, fsync, rename over the destination, fsync of the directory.
+// Creates parent directories. Safe to call concurrently for the same path.
 // Throws std::runtime_error on I/O failure; fault point `store_write`.
 void WriteRecordFile(const std::string& path, RecordType type,
                      std::string_view payload);

@@ -14,7 +14,7 @@
 //
 // Lock hierarchy (DESIGN.md §9): coarse map/registry locks are acquired before
 // the per-entry locks they index — Service::datasets_mu_ before
-// ResidentDataset::mu, ContractStore::Shard::mu before (never while holding)
+// ResidentDataset::mu, ContractStore::mu_ before (never while holding)
 // LoadedContractSet::parse_mu — and leaf locks (LruCache::mu_, Metrics::mu_,
 // TraceCollector::mu_, ThreadPool::mu_) never acquire another lock while held.
 // Constructors document the ordering with CONCORD_ACQUIRED_BEFORE /

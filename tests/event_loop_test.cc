@@ -2,7 +2,7 @@
 // incremental NDJSON framing under adversarial segmentation, admission control
 // (rate limit, global and per-client in-flight caps, connection cap),
 // backpressure for slow readers, socket-layer fault injection, idle timeout,
-// and byte-identical reports across Unix, TCP, and sharded-TCP serving.
+// and byte-identical reports across Unix and TCP serving.
 #include "src/service/event_loop.h"
 
 #include <arpa/inet.h>
@@ -26,7 +26,6 @@
 #include "src/datagen/edge_gen.h"
 #include "src/format/json.h"
 #include "src/service/service.h"
-#include "src/service/shard_router.h"
 #include "src/service/socket_server.h"
 #include "src/util/fault.h"
 
@@ -161,8 +160,8 @@ std::string CheckRequest(const std::string& contracts,
 
 // ---- Fixture ----------------------------------------------------------------
 
-// Serves LineHandlers (Service or ShardRouter) through the real socket
-// frontend on background threads; tests drive them as hand-rolled clients.
+// Serves a Service through the real socket frontend on a background thread;
+// tests drive it as hand-rolled clients.
 class EventLoopTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -174,8 +173,6 @@ class EventLoopTest : public ::testing::Test {
 
   void TearDown() override {
     StopServer();
-    StopWorkers();
-    router_.reset();
     services_.clear();
     FaultInjector::Global().Reset();
     std::filesystem::remove_all(dir_);
@@ -192,7 +189,7 @@ class EventLoopTest : public ::testing::Test {
 
   // Starts the frontend on a background thread, serving the Unix path and/or
   // an ephemeral TCP port on 127.0.0.1.
-  void StartServer(LineHandler& handler, SocketServerOptions options,
+  void StartServer(Service& service, SocketServerOptions options,
                    bool serve_unix = true, bool serve_tcp = false) {
     ASSERT_FALSE(thread_.joinable()) << "server already running";
     options.install_signal_handlers = false;
@@ -202,12 +199,14 @@ class EventLoopTest : public ::testing::Test {
     }
     tcp_port_.store(0, std::memory_order_release);
     server_options_ = options;
-    handler_ = &handler;
+    service_ = &service;
     unix_served_ = serve_unix;
     exit_code_ = -1;
+    server_done_.store(false, std::memory_order_release);
     thread_ = std::thread([this] {
-      exit_code_ = RunHandlerSocket(*handler_, unix_served_ ? UnixPath() : "",
+      exit_code_ = RunServiceSocket(*service_, unix_served_ ? UnixPath() : "",
                                     err_, nullptr, server_options_);
+      server_done_.store(true, std::memory_order_release);
     });
     if (serve_tcp) {
       for (int i = 0; i < 500 && TcpPort() == 0; ++i) {
@@ -247,7 +246,7 @@ class EventLoopTest : public ::testing::Test {
     if (!thread_.joinable()) {
       return;
     }
-    handler_->RequestShutdown();
+    service_->RequestShutdown();
     PokeOnce();
     thread_.join();
   }
@@ -272,58 +271,16 @@ class EventLoopTest : public ::testing::Test {
     }
   }
 
-  // ---- In-process shard cluster (the `--shards N` wiring, with threads) ----
-
-  void StartWorker(Service& worker, const std::string& socket) {
-    SocketServerOptions server;
-    server.install_signal_handlers = false;
-    server.idle_timeout_ms = 0;  // The router holds long-lived connections.
-    worker_services_.push_back(&worker);
-    worker_sockets_.push_back(socket);
-    worker_threads_.emplace_back([&worker, socket, server] {
-      std::ostringstream err;
-      RunHandlerSocket(worker, socket, err, nullptr, server);
-    });
-  }
-
-  void StopWorkers() {
-    for (size_t i = 0; i < worker_services_.size(); ++i) {
-      worker_services_[i]->RequestShutdown();
-      int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-      if (fd >= 0) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (worker_sockets_[i].size() < sizeof(addr.sun_path)) {
-          std::memcpy(addr.sun_path, worker_sockets_[i].c_str(),
-                      worker_sockets_[i].size() + 1);
-          ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-        }
-        ::close(fd);
-      }
-    }
-    for (auto& thread : worker_threads_) {
-      if (thread.joinable()) {
-        thread.join();
-      }
-    }
-    worker_threads_.clear();
-    worker_services_.clear();
-    worker_sockets_.clear();
-  }
-
   std::filesystem::path dir_;
   std::vector<std::unique_ptr<Service>> services_;
-  std::unique_ptr<ShardRouter> router_;
-  LineHandler* handler_ = nullptr;
+  Service* service_ = nullptr;
   SocketServerOptions server_options_;
   bool unix_served_ = true;
   std::atomic<int> tcp_port_{0};
   std::ostringstream err_;
   int exit_code_ = -1;
+  std::atomic<bool> server_done_{false};
   std::thread thread_;
-  std::vector<Service*> worker_services_;
-  std::vector<std::string> worker_sockets_;
-  std::vector<std::thread> worker_threads_;
 };
 
 // ---- Protocol over TCP ------------------------------------------------------
@@ -699,16 +656,42 @@ TEST_F(EventLoopTest, IdleConnectionsAreReclaimed) {
   ExpectCleanShutdown();
 }
 
-// ---- Byte-identity across transports and sharding --------------------------
+// An embedder stops the server with Service::RequestShutdown from its own
+// thread. With idle reclaim off and no client connected, nothing else wakes
+// the loop, so it must notice the flag on its own.
+TEST_F(EventLoopTest, RequestShutdownStopsAnIdleLoop) {
+  Service& service = NewService();
+  SocketServerOptions options;
+  options.idle_timeout_ms = 0;
+  StartServer(service, options);
 
-TEST_F(EventLoopTest, ReportsAreByteIdenticalAcrossUnixTcpAndShardedTcp) {
+  int fd = Connect();
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(WriteStr(fd, StatsLine(1) + "\n"));
+  EXPECT_EQ(ParseResponse(ReadLine(fd)).GetBool("ok"), true);
+  ::close(fd);
+  // Let the loop retire the connection and go back to waiting.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  service.RequestShutdown();
+  for (int i = 0; i < 200 && !server_done_.load(std::memory_order_acquire); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(server_done_.load(std::memory_order_acquire))
+      << "the loop did not stop within 2 s of RequestShutdown";
+  // On failure, TearDown's StopServer wakes the loop with a connection.
+}
+
+// ---- Byte-identity across transports ----------------------------------------
+
+TEST_F(EventLoopTest, ReportsAreByteIdenticalAcrossUnixAndTcp) {
   GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
   std::string learn = LearnRequest("d", corpus);
   std::string check = CheckRequest("d", corpus.configs);
 
-  // Phase 1: one Service on both transports. Warm the parse cache once, then
-  // capture a warm response per transport (cache counters are part of the
-  // response, so both sides must be equally warm to compare bytes).
+  // One Service on both transports. Warm the parse cache once, then capture a
+  // warm response per transport (cache counters are part of the response, so
+  // both sides must be equally warm to compare bytes).
   Service& single = NewService();
   ParseResponse(single.HandleLine(learn));
   StartServer(single, SocketServerOptions{}, /*serve_unix=*/true,
@@ -732,39 +715,6 @@ TEST_F(EventLoopTest, ReportsAreByteIdenticalAcrossUnixTcpAndShardedTcp) {
   ::close(tcp_fd);
   EXPECT_EQ(unix_response, tcp_response);
   ExpectCleanShutdown();
-
-  // Phase 2: a 2-shard cluster fronted over TCP — the `--shards N` wiring.
-  ShardRouterOptions router_options;
-  for (int i = 0; i < 2; ++i) {
-    std::string socket = (dir_ / ("w" + std::to_string(i) + ".sock")).string();
-    router_options.worker_sockets.push_back(socket);
-    StartWorker(NewService(), socket);
-  }
-  router_ = std::make_unique<ShardRouter>(router_options);
-  std::string error;
-  ASSERT_TRUE(router_->Connect(&error)) << error;
-  ParseResponse(router_->HandleLine(learn));
-  StartServer(*router_, SocketServerOptions{}, /*serve_unix=*/false,
-              /*serve_tcp=*/true);
-
-  int sharded_warm = ConnectTcp(TcpPort());
-  ASSERT_GE(sharded_warm, 0);
-  ASSERT_TRUE(WriteStr(sharded_warm, check + "\n"));
-  ParseResponse(ReadLine(sharded_warm));
-  ::close(sharded_warm);
-
-  int sharded_fd = ConnectTcp(TcpPort());
-  ASSERT_GE(sharded_fd, 0);
-  ASSERT_TRUE(WriteStr(sharded_fd, check + "\n"));
-  std::string sharded_response = ReadLine(sharded_fd);
-  ::close(sharded_fd);
-
-  EXPECT_EQ(sharded_response, unix_response)
-      << "a 2-shard TCP deployment must produce the same report bytes";
-
-  // The router's shutdown broadcast also stops the workers.
-  ExpectCleanShutdown();
-  StopWorkers();
 }
 
 }  // namespace

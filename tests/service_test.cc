@@ -869,6 +869,22 @@ TEST_F(ServiceTest, UnknownRequestFieldFailsLoudly) {
   ASSERT_NE(error, nullptr);
   EXPECT_EQ(error->GetString("code"), "unknown_field");
   EXPECT_EQ(error->GetString("detail"), "metdata");
+
+  // Members and verbs outside the v1 protocol fail the same way.
+  response = Respond(
+      *service,
+      R"({"v":1,"verb":"check","contracts":"edge","configs":[{"name":"a","text":"b"}],"shard":true})");
+  EXPECT_EQ(response.GetBool("ok"), false);
+  error = response.Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->GetString("code"), "unknown_field");
+  EXPECT_EQ(error->GetString("detail"), "shard");
+
+  response = Respond(*service, R"({"v":1,"verb":"check_unique","log":[]})");
+  EXPECT_EQ(response.GetBool("ok"), false);
+  error = response.Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->GetString("code"), "unknown_verb");
 }
 
 TEST_F(ServiceTest, MetricsVerbReturnsPrometheusExposition) {

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/datagen/edge_gen.h"
@@ -343,6 +344,43 @@ TEST_F(StoreServiceTest, MetricsExposeStoreAndResidentDatasetHealth) {
   EXPECT_GT(store->GetInt("objects").value_or(0), 0);
   EXPECT_GT(store->GetInt("bytes").value_or(0), 0);
   EXPECT_EQ(store->GetInt("datasets"), 1);
+}
+
+// Two learns of the same configs into different datasets run at once, so both
+// write every shared config and metadata object at the same time. Both must
+// persist, and a restart must warm both.
+TEST_F(StoreServiceTest, ConcurrentLearnsSharingConfigsBothPersist) {
+  GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
+  const std::string learns[2] = {LearnRequest("a", corpus),
+                                 LearnRequest("b", corpus)};
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::string store_dir = StoreDir("concurrent-" + std::to_string(round));
+    std::string replies[2];
+    {
+      auto service = MakeService(store_dir);
+      std::thread first([&] { replies[0] = service->HandleLine(learns[0]); });
+      std::thread second([&] { replies[1] = service->HandleLine(learns[1]); });
+      first.join();
+      second.join();
+    }
+    for (const std::string& reply : replies) {
+      std::string error;
+      auto parsed = JsonValue::Parse(reply, &error);
+      ASSERT_TRUE(parsed.has_value()) << error << " in: " << reply;
+      ASSERT_EQ(parsed->GetBool("ok"), true) << reply;
+      const JsonValue* persisted = parsed->Find("store");
+      ASSERT_NE(persisted, nullptr) << reply;
+      EXPECT_EQ(persisted->GetBool("persisted"), true) << reply;
+    }
+
+    auto warm = MakeService(store_dir);
+    for (const char* dataset : {"a", "b"}) {
+      JsonValue checked = Respond(*warm, CheckRequest(dataset, corpus));
+      EXPECT_EQ(checked.GetBool("ok"), true)
+          << dataset << ": " << checked.Serialize(0);
+    }
+  }
 }
 
 }  // namespace
