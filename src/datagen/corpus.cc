@@ -1,5 +1,7 @@
 #include "src/datagen/corpus.h"
 
+#include <stdexcept>
+
 #include "src/util/io.h"
 
 namespace concord {
@@ -14,11 +16,19 @@ size_t GeneratedCorpus::TotalLines() const {
 
 Dataset ParseCorpus(const GeneratedCorpus& corpus, ParseOptions options, const Lexer* lexer) {
   static const Lexer kDefaultLexer;
+  const Lexer& used = lexer != nullptr ? *lexer : kDefaultLexer;
   Dataset dataset;
-  ConfigParser parser(lexer != nullptr ? lexer : &kDefaultLexer, &dataset.patterns, options);
+  std::vector<ConfigSource> files;
+  files.reserve(corpus.configs.size());
   for (const GeneratedConfig& config : corpus.configs) {
-    dataset.configs.push_back(parser.Parse(config.name, config.text));
+    files.push_back(ConfigSource{&config.name, &config.text});
   }
+  std::vector<ParseFailure> failures =
+      ParseConfigs(used, options, files, /*parallelism=*/0, &dataset);
+  if (!failures.empty()) {
+    throw std::runtime_error(failures.front().reason);
+  }
+  ConfigParser parser(&used, &dataset.patterns, options);
   for (const GeneratedConfig& meta : corpus.metadata) {
     for (ParsedLine& line : parser.ParseMetadata(meta.text)) {
       dataset.metadata.push_back(std::move(line));

@@ -30,6 +30,9 @@ struct GeneratedCorpus {
 };
 
 // Parses a corpus (configs + metadata) into a dataset with the given options.
+// Configs parse on all cores through ParseConfigs, metadata after them on the
+// calling thread. A config whose parse throws aborts the whole call: the first
+// failure in input order is rethrown as std::runtime_error.
 Dataset ParseCorpus(const GeneratedCorpus& corpus, ParseOptions options = {},
                     const Lexer* lexer = nullptr);
 

@@ -1,5 +1,7 @@
 #include "src/pattern/lexer.h"
 
+#include <utility>
+
 #include "src/pattern/pattern_table.h"
 #include "src/util/io.h"
 #include "src/util/strings.h"
@@ -149,7 +151,7 @@ std::optional<size_t> MatchHexAt(std::string_view s, size_t pos, BigInt* out) {
   if (!value) {
     return std::nullopt;
   }
-  *out = *value;
+  *out = std::move(*value);
   return i - pos;
 }
 
@@ -182,7 +184,7 @@ std::optional<size_t> MatchNumAt(std::string_view s, size_t pos, BigInt* out) {
   if (!value) {
     return std::nullopt;
   }
-  *out = *value;
+  *out = std::move(*value);
   return i - pos;
 }
 
@@ -279,7 +281,7 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
   }
   BigInt hex_value;
   if (auto len = MatchHexAt(text, pos, &hex_value)) {
-    consider(*len, "hex", Value::Hex(hex_value));
+    consider(*len, "hex", Value::Hex(std::move(hex_value)));
   }
   bool bool_value = false;
   if (auto len = MatchBoolAt(text, pos, &bool_value)) {
@@ -287,7 +289,7 @@ std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t po
   }
   BigInt num_value;
   if (auto len = MatchNumAt(text, pos, &num_value)) {
-    consider(*len, "num", Value::Num(num_value));
+    consider(*len, "num", Value::Num(std::move(num_value)));
   }
 
   if (!found) {

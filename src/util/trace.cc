@@ -10,10 +10,30 @@ namespace concord {
 
 namespace {
 
-// Replaced-operator-new bookkeeping. Constant-initialized so allocations during
-// static initialization (before anyone can enable counting) are safe.
+// Replaced-operator-new bookkeeping. Each thread counts into its own
+// cache-line-padded slot, so threads allocating in parallel never contend on
+// one counter; AllocationCount() sums the slots. A thread takes the next slot
+// round-robin on its first counted allocation, so after kAllocationSlots
+// threads, threads share slots; that stays exact because a slot is an atomic.
+// Everything here is constant-initialized, so allocations during static
+// initialization (before anyone can enable counting) are safe.
 std::atomic<bool> g_count_allocations{false};
-std::atomic<uint64_t> g_allocation_count{0};
+
+constexpr size_t kAllocationSlots = 64;
+struct alignas(64) AllocationSlot {
+  std::atomic<uint64_t> count{0};
+};
+AllocationSlot g_allocation_slots[kAllocationSlots];
+std::atomic<size_t> g_next_allocation_slot{0};
+thread_local AllocationSlot* t_allocation_slot = nullptr;
+
+void CountAllocation() {
+  if (t_allocation_slot == nullptr) {
+    size_t slot = g_next_allocation_slot.fetch_add(1, std::memory_order_relaxed);
+    t_allocation_slot = &g_allocation_slots[slot % kAllocationSlots];
+  }
+  t_allocation_slot->count.fetch_add(1, std::memory_order_relaxed);
+}
 
 // Span nesting depth of the current thread. Purely thread-local, so spans on
 // pool workers nest independently of the thread that opened the enclosing span.
@@ -55,7 +75,15 @@ void EnableAllocationCounting(bool enabled) {
 }
 
 uint64_t AllocationCount() {
-  return g_allocation_count.load(std::memory_order_relaxed);
+  // Slots are handed out from 0, so only the taken ones can be non-zero; with
+  // counting never enabled (a serve run's spans) the sum reads no slot at all.
+  size_t taken = std::min(g_next_allocation_slot.load(std::memory_order_relaxed),
+                          kAllocationSlots);
+  uint64_t total = 0;
+  for (size_t i = 0; i < taken; ++i) {
+    total += g_allocation_slots[i].count.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 TraceCollector& TraceCollector::Global() {
@@ -298,16 +326,16 @@ TraceSpan::~TraceSpan() {
 
 // ---------------------------------------------------------------------------
 // Replaced global allocation functions: malloc/free-backed so new/delete stay
-// a matched pair process-wide, plus one relaxed counter bump when --profile has
-// allocation counting enabled. Sanitizers intercept malloc/free underneath, so
-// ASan/TSan diagnostics keep working.
+// a matched pair process-wide, plus one relaxed bump of the thread's counter
+// slot when --profile has allocation counting enabled. Sanitizers intercept
+// malloc/free underneath, so ASan/TSan diagnostics keep working.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 void* ConcordAllocate(std::size_t size) {
   if (concord::g_count_allocations.load(std::memory_order_relaxed)) {
-    concord::g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    concord::CountAllocation();
   }
   if (size == 0) {
     size = 1;
@@ -317,7 +345,7 @@ void* ConcordAllocate(std::size_t size) {
 
 void* ConcordAllocateAligned(std::size_t size, std::size_t alignment) {
   if (concord::g_count_allocations.load(std::memory_order_relaxed)) {
-    concord::g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    concord::CountAllocation();
   }
   if (size == 0) {
     size = 1;

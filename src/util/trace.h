@@ -20,9 +20,11 @@
 // string literals.
 //
 // Allocation accounting (--profile) counts global operator new calls via a
-// replaced operator new in trace.cc bumping a relaxed atomic when enabled; the
-// per-span delta is exact for single-threaded stages and an approximation when
-// worker threads allocate concurrently.
+// replaced operator new in trace.cc that, when enabled, bumps a counter slot of
+// the calling thread; AllocationCount() sums every thread's slot. A span's
+// delta therefore includes the allocations of every thread while it is open:
+// pool workers bill to the span their caller holds, and so does any unrelated
+// work running at the same time.
 #ifndef SRC_UTIL_TRACE_H_
 #define SRC_UTIL_TRACE_H_
 
@@ -157,8 +159,8 @@ class TraceSpan {
   uint32_t depth_ = 0;
 };
 
-// Global operator-new call counter (see file comment). Counting is off by
-// default; --profile turns it on for the run.
+// Process-wide operator-new call counter, summed over per-thread slots (see
+// file comment). Counting is off by default; --profile turns it on for the run.
 void EnableAllocationCounting(bool enabled);
 uint64_t AllocationCount();
 

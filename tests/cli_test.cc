@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "src/format/json.h"
 #include "src/util/fault.h"
@@ -335,6 +337,82 @@ TEST_F(CliTest, IncrementalLearnInvalidatesOnOptionChange) {
             0);
   EXPECT_EQ(out.find("unchanged since baseline"), std::string::npos);
   EXPECT_NE(out.find("options changed"), std::string::npos);
+}
+
+// Overlapping globs name dev1.cfg three times and the metadata file twice;
+// each must load once, as if it had been named once.
+TEST_F(CliTest, OverlappingGlobsLoadEachFileOnce) {
+  std::string meta = (dir_ / "meta.json").string();
+  WriteFile(meta, R"({"site": "s1", "vlans": [251, 252]})");
+  std::string dev1 = (dir_ / "configs" / "dev1.cfg").string();
+  std::string dev1_dotted = (dir_ / "configs" / "." / "dev1.cfg").string();
+  std::string meta_dotted = (dir_ / "." / "meta.json").string();
+  std::string baseline = (dir_ / "state.json").string();
+  std::string once_path = (dir_ / "once.json").string();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--metadata", meta, "--support",
+                 "3", "--out", once_path, "--incremental", "--baseline", baseline}),
+            0);
+
+  std::string out;
+  std::string overlap_path = (dir_ / "overlap.json").string();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--configs", dev1, "--configs",
+                 dev1_dotted, "--metadata", meta, "--support", "3", "--out",
+                 overlap_path},
+                &out),
+            0);
+  EXPECT_NE(out.find("configs: 6\n"), std::string::npos) << out;
+  EXPECT_EQ(ReadFile(overlap_path), ReadFile(once_path));
+
+  // A repeated metadata file would change the chained metadata key.
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--metadata", meta,
+                 "--metadata", meta_dotted, "--support", "3", "--out", overlap_path,
+                 "--incremental", "--baseline", baseline},
+                &out),
+            0);
+  EXPECT_NE(out.find("6 config(s) unchanged since baseline"), std::string::npos) << out;
+}
+
+// Parsing runs on --parallelism workers, and its input-order merge keeps every
+// learned and reported byte equal to the serial run.
+TEST_F(CliTest, ParallelismDoesNotChangeLearnOrCheckBytes) {
+  for (int i = 7; i <= 24; ++i) {
+    WriteFile((dir_ / "configs" / ("dev" + std::to_string(i) + ".cfg")).string(),
+              Config(i));
+  }
+  std::string serial = (dir_ / "serial.json").string();
+  std::string parallel = (dir_ / "parallel.json").string();
+  for (const std::string& p : {std::string("1"), std::string("4")}) {
+    ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3",
+                   "--score-threshold", "3", "--parallelism", p, "--out",
+                   p == "1" ? serial : parallel}),
+              0);
+  }
+  EXPECT_EQ(ReadFile(serial), ReadFile(parallel));
+
+  std::string bad = Config(3);
+  bad = bad.replace(bad.find("seq 10 permit 10.14.3.34/32"),
+                    std::string("seq 10 permit 10.14.3.34/32").size(),
+                    "seq 10 permit 10.14.77.34/32");
+  WriteFile((dir_ / "configs" / "dev3.cfg").string(), bad);
+  std::map<std::string, std::string> reports;
+  for (const std::string& p : {std::string("1"), std::string("4")}) {
+    std::string out;
+    ASSERT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts", serial,
+                   "--parallelism", p, "--json-out", (dir_ / "r.json").string(),
+                   "--html-out", (dir_ / "r.html").string(), "--coverage-out",
+                   (dir_ / "r.txt").string(), "--profile"},
+                  &out),
+              1);
+    reports[p] = ReadFile((dir_ / "r.json").string()) +
+                 ReadFile((dir_ / "r.html").string()) +
+                 ReadFile((dir_ / "r.txt").string());
+    // One parse row, timed on the calling thread: the workers open no spans.
+    size_t row = out.find("check/parse");
+    ASSERT_NE(row, std::string::npos) << out;
+    EXPECT_EQ(std::stoi(out.substr(row + std::string("check/parse").size())), 1) << out;
+  }
+  EXPECT_NE(reports["1"].find("dev3.cfg"), std::string::npos);
+  EXPECT_EQ(reports["1"], reports["4"]);
 }
 
 TEST_F(CliTest, ProfilePrintsBreakdownAndWritesChromeTrace) {

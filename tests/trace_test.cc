@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/datagen/corpus.h"
@@ -180,6 +182,35 @@ TEST_F(TraceTest, AllocationCountingTracksOperatorNew) {
   uint64_t frozen = AllocationCount();
   keep.push_back(std::make_unique<int>(99));
   EXPECT_EQ(AllocationCount(), frozen);
+}
+
+// Counting is per thread, but the total covers every thread, finished ones
+// included: a span's delta still bills its pool workers' allocations.
+TEST_F(TraceTest, AllocationCountSumsEveryThread) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10000;
+  EnableAllocationCounting(true);
+  uint64_t before = AllocationCount();
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        std::vector<std::unique_ptr<int>> keep;
+        keep.reserve(kPerThread);
+        for (int i = 0; i < kPerThread; ++i) {
+          keep.push_back(std::make_unique<int>(i));
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  }
+  uint64_t after = AllocationCount();
+  EnableAllocationCounting(false);
+  // Starting the threads allocates a little on top of their own loops.
+  EXPECT_GE(after - before, uint64_t{kThreads} * kPerThread);
+  EXPECT_LT(after - before, uint64_t{kThreads} * kPerThread + 1000);
 }
 
 TEST_F(TraceTest, ProfileTextAndPrometheusRenderStageTotals) {
