@@ -51,7 +51,7 @@ CheckResult CheckMutated(World* w, const GeneratedCorpus& corpus) {
     }
   }
   Checker checker(&w->set, &tests.patterns);
-  return checker.Check(tests, /*measure_coverage=*/false);
+  return checker.Check(tests, CheckOptions{.measure_coverage = false});
 }
 
 void Report(World* w, const char* title, const std::optional<Mutation>& mutation,

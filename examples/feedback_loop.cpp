@@ -62,7 +62,7 @@ int main() {
   }
 
   Checker checker(&contracts, &tests.patterns);
-  CheckResult before = checker.Check(tests, /*measure_coverage=*/false);
+  CheckResult before = checker.Check(tests, CheckOptions{.measure_coverage = false});
   std::set<std::string> stale_keys;
   for (const Violation& v : before.violations) {
     stale_keys.insert(contracts.contracts[v.contract_index].Key(tests.patterns));
@@ -84,7 +84,7 @@ int main() {
   std::cout << "operator suppressed " << dropped << " contract(s)\n";
 
   Checker recheck(&contracts, &tests.patterns);
-  CheckResult after = recheck.Check(tests, /*measure_coverage=*/false);
+  CheckResult after = recheck.Check(tests, CheckOptions{.measure_coverage = false});
   std::cout << "re-check: " << after.violations.size() << " violation(s)\n";
   return after.violations.empty() ? 0 : 1;
 }

@@ -12,7 +12,7 @@
 //   concord::ContractSet set = concord::Learner(options).Learn(train).set;
 //
 // The underlying src/ headers remain the implementation surface; only the
-// facades are covered by the deprecation policy in DESIGN.md §7.
+// facades are meant for embedders.
 #ifndef INCLUDE_CONCORD_LEARNER_H_
 #define INCLUDE_CONCORD_LEARNER_H_
 

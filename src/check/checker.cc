@@ -146,9 +146,8 @@ struct ValueFlatHash {
 
 }  // namespace
 
-Checker::Checker(const ContractSet* set, const PatternTable* table, int parallelism,
-                 ThreadPool* pool)
-    : set_(set), table_(table), parallelism_(parallelism), pool_(pool) {
+Checker::Checker(const ContractSet* set, const PatternTable* table)
+    : set_(set), table_(table) {
   // Compile the check plan: everything here depends only on the contract set,
   // so repeated checks against a resident set skip the rebuild entirely.
   contract_slot_.reserve(set_->contracts.size());
@@ -181,38 +180,17 @@ Checker::Checker(const ContractSet* set, const PatternTable* table, int parallel
   }
 }
 
-CheckResult Checker::Check(const Dataset& dataset, bool measure_coverage) const {
-  std::vector<const ParsedConfig*> configs;
-  configs.reserve(dataset.configs.size());
-  for (const ParsedConfig& config : dataset.configs) {
-    configs.push_back(&config);
-  }
-  return Check(configs, dataset.metadata, measure_coverage);
-}
-
-CheckResult Checker::Check(const std::vector<const ParsedConfig*>& configs,
-                           const std::vector<ParsedLine>& metadata,
-                           bool measure_coverage) const {
+CheckResult Checker::Check(const Dataset& dataset, const CheckOptions& options) const {
   std::vector<ConfigIndex> owned;
   {
     TraceSpan span("check", "index");
-    owned = BuildIndexes(configs, metadata, &deadline_);
+    owned = BuildIndexes(dataset, &options.deadline);
   }
   std::vector<const ConfigIndex*> indexes;
   indexes.reserve(owned.size());
   for (const ConfigIndex& index : owned) {
     indexes.push_back(&index);
   }
-  return Check(indexes, measure_coverage);
-}
-
-CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
-                           bool measure_coverage) const {
-  CheckOptions options;
-  options.measure_coverage = measure_coverage;
-  options.deadline = deadline_;
-  options.parallelism = parallelism_;
-  options.pool = pool_;
   return Check(indexes, options);
 }
 

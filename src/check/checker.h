@@ -151,33 +151,18 @@ class Checker {
   // grouped by untyped pattern, contract-pattern slot table) reused by every
   // Check call. The table must be the one `dataset`'s patterns live in
   // (contracts loaded from a file must have been interned into it).
-  // `parallelism`/`pool` become the defaults for the legacy overloads below;
-  // options-taking calls pass their own.
-  Checker(const ContractSet* set, const PatternTable* table, int parallelism = 1,
-          ThreadPool* pool = nullptr);
+  Checker(const ContractSet* set, const PatternTable* table);
 
-  // Default deadline for the legacy overloads (CheckOptions::deadline wins).
-  void set_deadline(const Deadline& deadline) { deadline_ = deadline; }
-
-  // Checks every contract and measures coverage.
-  CheckResult Check(const Dataset& dataset, bool measure_coverage = true) const;
-
-  // Same, over externally owned configurations (e.g. the service's parsed-config
-  // cache). `metadata` is logically appended to every configuration (§3.7).
-  CheckResult Check(const std::vector<const ParsedConfig*>& configs,
-                    const std::vector<ParsedLine>& metadata,
-                    bool measure_coverage = true) const;
-
-  // Same, over pre-built per-config indexes — the artifact pipeline's Index
-  // stage (ArtifactStore, or the service's index cache) — skipping the
-  // index-building pass entirely. The indexes must outlive the call.
-  CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
-                    bool measure_coverage = true) const;
+  // Dataset convenience: builds the per-config indexes (the `check/index`
+  // span, polling options.deadline), then runs the scan below over them.
+  CheckResult Check(const Dataset& dataset, const CheckOptions& options = {}) const;
 
   // The batch-first core (DESIGN.md §12): a contract-major scan that walks the
   // contract set once, evaluating each contract against all N configs from a
-  // postings table built by a single pass over the batch's indexes, with scratch
-  // carved from bump arenas. Every other Check overload is a thin wrapper.
+  // postings table built by a single pass over the batch's pre-built indexes —
+  // the artifact pipeline's Index stage (ArtifactStore, or the service's index
+  // cache) — with scratch carved from bump arenas. The indexes must outlive
+  // the call.
   CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
                     const CheckOptions& options) const;
 
@@ -216,9 +201,6 @@ class Checker {
 
   const ContractSet* set_;
   const PatternTable* table_;
-  int parallelism_;
-  ThreadPool* pool_;
-  Deadline deadline_;  // Default: unlimited.
 
   // ---- Check plan, compiled once from the contract set. ----
   FlatMap<std::string, std::vector<TypeRule>> type_rules_;

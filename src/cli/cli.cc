@@ -548,8 +548,6 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
                    "skip subsumption-dominated contracts in the violation scan "
                    "(DESIGN.md §14); active only with --no-coverage, reports "
                    "stay byte-identical");
-  args.AddBoolFlag("compat-v0",
-                   "emit the legacy (pre-v1) JSON report shape (deprecated)");
   if (!args.Parse(argc, argv, 2)) {
     err << "error: " << args.error() << "\n" << args.Usage();
     return 2;
@@ -623,9 +621,12 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   }
 
   Stopwatch watch;
-  Checker checker(&*set, &inputs.dataset.patterns, parallelism);
-  checker.set_deadline(deadline);
-  CheckResult result;
+  Checker checker(&*set, &inputs.dataset.patterns);
+  CheckOptions check_options;
+  check_options.measure_coverage = !args.GetBool("no-coverage");
+  check_options.deadline = deadline;
+  check_options.parallelism = parallelism;
+  AnalysisResult analysis;
   if (args.GetBool("prune-subsumed")) {
     // The subsumption verdict drives CheckOptions::prune_mask; the checker
     // itself refuses the mask when coverage is on (marks would change bytes).
@@ -633,35 +634,20 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
     analyze_options.conflicts = false;
     analyze_options.dead_rules = false;
     analyze_options.deadline = deadline;
-    AnalysisResult analysis =
-        AnalyzeContracts(*set, inputs.dataset.patterns, analyze_options);
-    std::vector<ConfigIndex> built = BuildIndexes(inputs.dataset, &deadline);
-    std::vector<const ConfigIndex*> index_ptrs;
-    index_ptrs.reserve(built.size());
-    for (const ConfigIndex& index : built) {
-      index_ptrs.push_back(&index);
-    }
-    CheckOptions check_options;
-    check_options.measure_coverage = !args.GetBool("no-coverage");
-    check_options.deadline = deadline;
-    check_options.parallelism = parallelism;
+    analysis = AnalyzeContracts(*set, inputs.dataset.patterns, analyze_options);
     check_options.prune_mask = &analysis.prunable;
-    result = checker.Check(index_ptrs, check_options);
-    if (!args.GetBool("quiet")) {
-      out << "pruned " << result.contracts_pruned << " of "
-          << set->contracts.size() << " contract(s) (subsumption"
-          << (check_options.measure_coverage ? "; inert with coverage on" : "")
-          << ")\n";
-    }
-  } else {
-    result = checker.Check(inputs.dataset, !args.GetBool("no-coverage"));
+  }
+  CheckResult result = checker.Check(inputs.dataset, check_options);
+  if (args.GetBool("prune-subsumed") && !args.GetBool("quiet")) {
+    out << "pruned " << result.contracts_pruned << " of " << set->contracts.size()
+        << " contract(s) (subsumption"
+        << (check_options.measure_coverage ? "; inert with coverage on" : "")
+        << ")\n";
   }
   result.skipped = inputs.skipped;
 
   if (args.Has("json-out")) {
-    WriteFile(args.Get("json-out"),
-              ReportJson(result, *set, inputs.dataset.patterns,
-                         args.GetBool("compat-v0")));
+    WriteFile(args.Get("json-out"), ReportJson(result, *set, inputs.dataset.patterns));
   }
   if (args.Has("html-out")) {
     WriteFile(args.Get("html-out"), ReportHtml(result, *set, inputs.dataset.patterns));
@@ -888,9 +874,6 @@ int RunServe(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddBoolFlag("prune-subsumed",
                    "skip subsumption-dominated contracts in coverage-off checks "
                    "(DESIGN.md §14)");
-  args.AddBoolFlag("compat-v0",
-                   "speak the legacy (pre-v1) wire protocol: no \"v\" envelope, "
-                   "bare-string errors, camelCase keys (deprecated)");
   if (!args.Parse(argc, argv, 2)) {
     err << "error: " << args.error() << "\n" << args.Usage();
     return 2;
@@ -900,7 +883,6 @@ int RunServe(int argc, const char* const* argv, std::ostream& out, std::ostream&
   options.parallelism = static_cast<int>(args.GetInt("parallelism").value_or(0));
   options.cache_capacity =
       static_cast<size_t>(std::max<int64_t>(0, args.GetInt("cache-size").value_or(256)));
-  options.compat_v0 = args.GetBool("compat-v0");
   options.store_dir = args.Get("store-dir");
   options.prune_subsumed = args.GetBool("prune-subsumed");
   Service service(options);

@@ -1,9 +1,8 @@
 // `concord datagen` and `concord fuzz` (DESIGN.md §13).
 //
 // Both commands speak the unified generator flag surface — --family, --seed,
-// --knob k=v, --out-dir — over the GeneratorRegistry; legacy per-family flags
-// (--sites, --role, --devices, ...) remain as deprecated aliases that map onto
-// knobs with a note on stderr.
+// --knob k=v, --out-dir — over the GeneratorRegistry. Family parameters are
+// knobs only (--knob role=2); there are no per-family flags.
 #ifndef SRC_CLI_GEN_COMMANDS_H_
 #define SRC_CLI_GEN_COMMANDS_H_
 

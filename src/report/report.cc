@@ -66,8 +66,22 @@ JsonValue CoverageJsonValue(const CheckResult& result) {
   return coverage;
 }
 
+JsonValue DegradedJsonValue(const std::vector<SkippedFile>& skipped) {
+  JsonValue degraded = JsonValue::Array();
+  for (const SkippedFile& s : skipped) {
+    JsonValue error = JsonValue::Object();
+    error.Set("code", JsonValue::String(std::string(ErrorCodeName(s.code))));
+    error.Set("message", JsonValue::String(s.reason));
+    JsonValue item = JsonValue::Object();
+    item.Set("file", JsonValue::String(s.file));
+    item.Set("error", std::move(error));
+    degraded.Append(std::move(item));
+  }
+  return degraded;
+}
+
 JsonValue ReportJsonValue(const CheckResult& result, const ContractSet& set,
-                          const PatternTable& table, bool compat_v0) {
+                          const PatternTable& table) {
   JsonValue root = JsonValue::Object();
   JsonValue violations = JsonValue::Array();
   for (const Violation& v : result.violations) {
@@ -76,31 +90,16 @@ JsonValue ReportJsonValue(const CheckResult& result, const ContractSet& set,
   root.Set("violations", std::move(violations));
   root.Set("coverage", CoverageJsonValue(result));
   // Per-file fault isolation: inputs that failed to load. Omitted entirely for
-  // clean runs so clean reports stay byte-identical across versions. v1 entries
-  // carry the unified error envelope; --compat-v0 keeps the legacy bare reason.
+  // clean runs so clean reports stay byte-identical across versions.
   if (!result.skipped.empty()) {
-    JsonValue degraded = JsonValue::Array();
-    for (const SkippedFile& s : result.skipped) {
-      JsonValue item = JsonValue::Object();
-      item.Set("file", JsonValue::String(s.file));
-      if (compat_v0) {
-        item.Set("reason", JsonValue::String(s.reason));
-      } else {
-        JsonValue error = JsonValue::Object();
-        error.Set("code", JsonValue::String(std::string(ErrorCodeName(s.code))));
-        error.Set("message", JsonValue::String(s.reason));
-        item.Set("error", std::move(error));
-      }
-      degraded.Append(std::move(item));
-    }
-    root.Set("degraded", std::move(degraded));
+    root.Set("degraded", DegradedJsonValue(result.skipped));
   }
   return root;
 }
 
 std::string ReportJson(const CheckResult& result, const ContractSet& set,
-                       const PatternTable& table, bool compat_v0) {
-  return ReportJsonValue(result, set, table, compat_v0).Serialize(2);
+                       const PatternTable& table) {
+  return ReportJsonValue(result, set, table).Serialize(2);
 }
 
 std::string ReportText(const CheckResult& result, const ContractSet& set,

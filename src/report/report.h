@@ -7,6 +7,7 @@
 #define SRC_REPORT_REPORT_H_
 
 #include <string>
+#include <vector>
 
 #include "src/analyze/analyzer.h"
 #include "src/check/checker.h"
@@ -16,17 +17,20 @@
 namespace concord {
 
 // JSON document with per-violation contract text, config, line, and message, plus the
-// coverage summary. Degraded (skipped-input) entries carry the v1 error envelope
-// {"file","error":{"code","message"}}; `compat_v0` keeps the legacy
-// {"file","reason"} shape instead (the --compat-v0 flag).
+// coverage summary and, when inputs were skipped, the degraded section.
 std::string ReportJson(const CheckResult& result, const ContractSet& set,
-                       const PatternTable& table, bool compat_v0 = false);
+                       const PatternTable& table);
 
 // The same report as a document value, for embedding in a larger response (the
 // service returns it inside each `check` reply; serializing this with indent 2
 // reproduces ReportJson byte for byte).
 JsonValue ReportJsonValue(const CheckResult& result, const ContractSet& set,
-                          const PatternTable& table, bool compat_v0 = false);
+                          const PatternTable& table);
+
+// Skipped inputs as [{"file","error":{"code","message"}}, ...]: the report's
+// degraded section, and the schema serve responses use for their own
+// "degraded" member.
+JsonValue DegradedJsonValue(const std::vector<SkippedFile>& skipped);
 
 // The coverage summary sub-object of the JSON report.
 JsonValue CoverageJsonValue(const CheckResult& result);

@@ -71,18 +71,12 @@ struct Conn {
 };
 
 // The one family of replies built outside Service::HandleLine (shed work
-// and oversize lines never reach the parser), so both wire shapes are mirrored
-// by hand exactly as the service would render them. Messages are fixed strings
-// with no characters needing JSON escaping.
-std::string FrontendErrorLine(ErrorCode code, const std::string& message,
-                              bool compat_v0) {
-  std::string name(ErrorCodeName(code));
-  if (compat_v0) {
-    return "{\"ok\":false,\"error\":\"" + name + ": " + message +
-           "\",\"errorCode\":\"" + name + "\"}";
-  }
-  return "{\"v\":1,\"ok\":false,\"error\":{\"code\":\"" + name +
-         "\",\"message\":\"" + message + "\"}}";
+// and oversize lines never reach the parser), so the v1 error envelope is
+// mirrored by hand exactly as the service would render it. Messages are fixed
+// strings with no characters needing JSON escaping.
+std::string FrontendErrorLine(ErrorCode code, const std::string& message) {
+  return "{\"v\":1,\"ok\":false,\"error\":{\"code\":\"" +
+         std::string(ErrorCodeName(code)) + "\",\"message\":\"" + message + "\"}}";
 }
 
 bool TransientAcceptError(int error) {
@@ -321,8 +315,7 @@ class EventLoop {
             FrontendErrorLine(ErrorCode::kOverloaded,
                               "server overloaded: " +
                                   std::to_string(options_.max_connections) +
-                                  " connections already open",
-                              service_.compat_v0()) +
+                                  " connections already open") +
             "\n";
         [[maybe_unused]] ssize_t n =
             ::send(client, reply.data(), reply.size(), MSG_NOSIGNAL);
@@ -460,8 +453,7 @@ class EventLoop {
     ParkReply(conn, FrontendErrorLine(
                         ErrorCode::kLineTooLong,
                         "request line exceeds " +
-                            std::to_string(options_.max_line_bytes) + " bytes",
-                        service_.compat_v0()));
+                            std::to_string(options_.max_line_bytes) + " bytes"));
     conn.discard_input = true;
     conn.close_after_flush = true;
     conn.in.clear();
@@ -481,8 +473,7 @@ class EventLoop {
                       "rate limit exceeded: " +
                           std::to_string(options_.rate_limit) +
                           " requests per " +
-                          std::to_string(options_.rate_window_ms) + " ms",
-                      service_.compat_v0()));
+                          std::to_string(options_.rate_window_ms) + " ms"));
         return;
       case AdmissionDecision::kOverloadedGlobal:
         CountShed("global_inflight");
@@ -491,8 +482,7 @@ class EventLoop {
                       ErrorCode::kOverloaded,
                       "server overloaded: " +
                           std::to_string(options_.max_inflight) +
-                          " requests already in flight",
-                      service_.compat_v0()));
+                          " requests already in flight"));
         return;
       case AdmissionDecision::kOverloadedClient:
         CountShed("client_inflight");
@@ -501,8 +491,7 @@ class EventLoop {
                       ErrorCode::kOverloaded,
                       "client overloaded: " +
                           std::to_string(options_.max_inflight_per_client) +
-                          " requests already in flight from this peer",
-                      service_.compat_v0()));
+                          " requests already in flight from this peer"));
         return;
       case AdmissionDecision::kAdmit:
         break;

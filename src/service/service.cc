@@ -1,5 +1,6 @@
 #include "src/service/service.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <istream>
@@ -7,7 +8,9 @@
 #include <memory>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "src/analyze/analyzer.h"
 #include "src/check/checker.h"
@@ -27,8 +30,7 @@ namespace concord {
 
 namespace {
 
-// Request-level failure that becomes a structured {"error":{code,...}} response
-// (or a legacy bare-string error under compat_v0).
+// Request-level failure that becomes a structured {"error":{code,...}} response.
 struct ServiceError : std::runtime_error {
   ServiceError(ErrorCode code, const std::string& message,
                std::string detail = "")
@@ -39,88 +41,6 @@ struct ServiceError : std::runtime_error {
 };
 
 int64_t ToInt64(size_t n) { return static_cast<int64_t>(n); }
-
-// Per-verb request-field allowlists: under the v1 envelope an unrecognized
-// member is an unknown_field error rather than being silently ignored, so typos
-// ("metdata") fail loudly. "v" and "id" are envelope members, valid everywhere.
-bool VerbAllowsField(const std::string& verb, const std::string& field) {
-  if (field == "v" || field == "id" || field == "verb") {
-    return true;
-  }
-  if (verb == "check" || verb == "coverage") {
-    return field == "contracts" || field == "configs" || field == "metadata" ||
-           field == "deadline_ms" || field == "coverage";
-  }
-  if (verb == "check_batch") {
-    // Sub-request fields (configs, deadline_ms, coverage) live inside the
-    // "requests" entries and are validated per slot by the check dispatch.
-    return field == "contracts" || field == "metadata" || field == "requests";
-  }
-  if (verb == "analyze") {
-    return field == "contracts" || field == "dataset" || field == "deadline_ms";
-  }
-  if (verb == "reload") {
-    return field == "contracts" || field == "name" || field == "path";
-  }
-  if (verb == "learn") {
-    return field == "dataset" || field == "configs" || field == "metadata" ||
-           field == "options" || field == "deadline_ms";
-  }
-  if (verb == "update") {
-    return field == "dataset" || field == "configs" || field == "upsert" ||
-           field == "remove" || field == "metadata" || field == "options" ||
-           field == "deadline_ms";
-  }
-  // stats / metrics / shutdown take no verb-specific fields.
-  return false;
-}
-
-// Legacy (pre-v1) spellings of the snake_case response keys, applied
-// recursively under compat_v0 so old clients keep parsing what they always did.
-const std::map<std::string, std::string>& LegacyKeyMap() {
-  static const auto* map = new std::map<std::string, std::string>{
-      {"configs_checked", "configsChecked"},
-      {"cache_hits", "cacheHits"},
-      {"cache_misses", "cacheMisses"},
-      {"index_cache_hits", "indexCacheHits"},
-      {"index_cache_misses", "indexCacheMisses"},
-      {"contract_sets", "contractSets"},
-      {"cached_configs", "cachedConfigs"},
-      {"sum_micros", "sumMicros"},
-      {"max_micros", "maxMicros"},
-      {"mean_micros", "meanMicros"},
-      {"hit_rate", "hitRate"},
-      {"contracts_evaluated", "contractsEvaluated"},
-      {"violations_found", "violationsFound"},
-      {"added_contracts", "addedContracts"},
-      {"removed_contracts", "removedContracts"},
-      {"removed_configs", "removedConfigs"},
-      {"parse_hits", "parseHits"},
-      {"parse_misses", "parseMisses"},
-      {"index_hits", "indexHits"},
-      {"index_misses", "indexMisses"},
-      {"mine_hits", "mineHits"},
-      {"mine_misses", "mineMisses"},
-  };
-  return *map;
-}
-
-void LegacyizeKeys(JsonValue* value) {
-  if (value->is_object()) {
-    const auto& map = LegacyKeyMap();
-    for (auto& [key, member] : value->members()) {
-      auto it = map.find(key);
-      if (it != map.end()) {
-        key = it->second;
-      }
-      LegacyizeKeys(&member);
-    }
-  } else if (value->is_array()) {
-    for (JsonValue& item : value->items()) {
-      LegacyizeKeys(&item);
-    }
-  }
-}
 
 JsonValue ErrorEnvelope(ErrorCode code, const std::string& message,
                         const std::string& detail) {
@@ -133,22 +53,86 @@ JsonValue ErrorEnvelope(ErrorCode code, const std::string& message,
   return error;
 }
 
-JsonValue DegradedJson(const std::vector<SkippedFile>& degraded, bool compat_v0) {
-  JsonValue skipped = JsonValue::Array();
-  for (const SkippedFile& s : degraded) {
-    JsonValue item = JsonValue::Object();
-    item.Set("file", JsonValue::String(s.file));
-    if (compat_v0) {
-      item.Set("reason", JsonValue::String(s.reason));
-    } else {
-      item.Set("error", ErrorEnvelope(s.code, s.reason, ""));
-    }
-    skipped.Append(std::move(item));
+// Optional per-request wall-clock budget; expiry raises DeadlineExceeded, which
+// ResponseFor turns into a structured deadline_exceeded error.
+Deadline RequestDeadline(const JsonValue& request) {
+  if (auto ms = request.GetInt("deadline_ms"); ms.has_value() && *ms > 0) {
+    return Deadline::After(*ms);
   }
-  return skipped;
+  return Deadline::Never();
 }
 
 }  // namespace
+
+struct Service::Verb {
+  std::string_view name;
+  std::vector<std::string_view> fields;
+  JsonValue (*handle)(Service& service, const JsonValue& request);
+};
+
+// Every serve verb, in the order the missing- and unknown-verb errors list
+// them. Under the v1 envelope a member outside the row's fields (and the
+// v/id/verb envelope) is an unknown_field error rather than being silently
+// ignored, so typos ("metdata") fail loudly.
+const std::vector<Service::Verb>& Service::Verbs() {
+  static const auto* verbs = new std::vector<Verb>{
+      {"check",
+       {"contracts", "configs", "metadata", "deadline_ms", "coverage"},
+       [](Service& s, const JsonValue& r) {
+         return s.HandleCheck(r, /*coverage_listing=*/false);
+       }},
+      // Slot fields (configs, deadline_ms, coverage) live inside the
+      // "requests" entries; each slot dispatches through the check row.
+      {"check_batch",
+       {"contracts", "metadata", "requests"},
+       [](Service& s, const JsonValue& r) { return s.HandleCheckBatch(r); }},
+      {"coverage",
+       {"contracts", "configs", "metadata", "deadline_ms", "coverage"},
+       [](Service& s, const JsonValue& r) {
+         return s.HandleCheck(r, /*coverage_listing=*/true);
+       }},
+      {"analyze",
+       {"contracts", "dataset", "deadline_ms"},
+       [](Service& s, const JsonValue& r) { return s.HandleAnalyze(r); }},
+      // "name" is the v1 alias of "contracts".
+      {"reload",
+       {"contracts", "name", "path"},
+       [](Service& s, const JsonValue& r) { return s.HandleReload(r); }},
+      {"learn",
+       {"dataset", "configs", "metadata", "options", "deadline_ms"},
+       [](Service& s, const JsonValue& r) { return s.HandleLearn(r); }},
+      // "upsert" is the v1 alias of "configs".
+      {"update",
+       {"dataset", "configs", "upsert", "remove", "metadata", "options",
+        "deadline_ms"},
+       [](Service& s, const JsonValue& r) { return s.HandleUpdate(r); }},
+      {"stats", {}, [](Service& s, const JsonValue&) { return s.HandleStats(); }},
+      {"metrics", {}, [](Service& s, const JsonValue&) { return s.HandleMetrics(); }},
+      {"shutdown", {},
+       [](Service& s, const JsonValue&) { return s.HandleShutdown(); }},
+  };
+  return *verbs;
+}
+
+const Service::Verb* Service::FindVerb(std::string_view name) {
+  for (const Verb& verb : Verbs()) {
+    if (verb.name == name) {
+      return &verb;
+    }
+  }
+  return nullptr;
+}
+
+std::string Service::VerbNames() {
+  std::string names;
+  for (const Verb& verb : Verbs()) {
+    if (!names.empty()) {
+      names += '|';
+    }
+    names += verb.name;
+  }
+  return names;
+}
 
 Service::Service(ServiceOptions options)
     : options_(options),
@@ -194,11 +178,11 @@ bool Service::LoadLexerDefinitions(const std::string& text, std::string* error) 
 
 std::string Service::HandleLine(const std::string& line) {
   Stopwatch watch;
-  const bool compat = options_.compat_v0;
+  // Metrics label: a verb from the table, else "invalid", so hostile input
+  // cannot grow the per-verb series without bound.
   std::string verb = "invalid";
   JsonValue id;
   bool has_id = false;
-  JsonValue body;
   bool ok = false;
   std::optional<JsonValue> response;
   ErrorCode error_code = ErrorCode::kInternal;
@@ -223,44 +207,37 @@ std::string Service::HandleLine(const std::string& line) {
       id = *i;
       has_id = true;
     }
-    if (!compat) {
-      // Versioned envelope: "v" is required and must be the integer 1; a newer
-      // version is rejected with a code the client can branch on.
-      const JsonValue* version = request->Find("v");
-      if (version == nullptr) {
-        throw ServiceError(ErrorCode::kMissingField,
-                           "missing 'v' (protocol version; this server speaks v1)",
-                           "v");
-      }
-      if (!version->is_number()) {
-        throw ServiceError(ErrorCode::kInvalidField,
-                           "'v' must be the integer protocol version", "v");
-      }
-      if (version->AsInt() > 1) {
-        throw ServiceError(ErrorCode::kUnsupportedVersion,
-                           "protocol version " + version->NumberSpelling() +
-                               " is not supported (this server speaks v1)",
-                           "v");
-      }
-      if (version->AsInt() != 1) {
-        throw ServiceError(ErrorCode::kInvalidField,
-                           "'v' must be the integer protocol version 1", "v");
-      }
+    // Versioned envelope: "v" is required and must be the integer 1; a newer
+    // version is rejected with a code the client can branch on.
+    const JsonValue* version = request->Find("v");
+    if (version == nullptr) {
+      throw ServiceError(ErrorCode::kMissingField,
+                         "missing 'v' (protocol version; this server speaks v1)",
+                         "v");
+    }
+    if (!version->is_number()) {
+      throw ServiceError(ErrorCode::kInvalidField,
+                         "'v' must be the integer protocol version", "v");
+    }
+    if (version->AsInt() > 1) {
+      throw ServiceError(ErrorCode::kUnsupportedVersion,
+                         "protocol version " + version->NumberSpelling() +
+                             " is not supported (this server speaks v1)",
+                         "v");
+    }
+    if (version->AsInt() != 1) {
+      throw ServiceError(ErrorCode::kInvalidField,
+                         "'v' must be the integer protocol version 1", "v");
     }
     auto v = request->GetString("verb");
     if (!v) {
-      throw ServiceError(
-          ErrorCode::kMissingField,
-          "missing 'verb' (expected check|check_batch|coverage|analyze|reload|"
-          "learn|update|stats|metrics|shutdown)",
-          "verb");
+      throw ServiceError(ErrorCode::kMissingField,
+                         "missing 'verb' (expected " + VerbNames() + ")", "verb");
     }
-    verb = *v;
-    response = ResponseFor(verb, *request, &ok);
-  } catch (const DeadlineExceeded&) {
-    // Structured so clients can retry with a larger budget without string-matching.
-    error_code = ErrorCode::kDeadlineExceeded;
-    error_message = "deadline_exceeded";
+    if (FindVerb(*v) != nullptr) {
+      verb = *v;
+    }
+    response = ResponseFor(*v, *request, &ok);
   } catch (const ServiceError& e) {
     error_code = e.code;
     error_message = e.what();
@@ -272,7 +249,7 @@ std::string Service::HandleLine(const std::string& line) {
   if (!response) {
     // Pre-dispatch failure (malformed request, bad version, missing verb).
     response = AssembleResponse(/*ok=*/false, has_id, std::move(id), error_code,
-                                error_message, error_detail, std::move(body));
+                                error_message, error_detail, JsonValue());
   }
   metrics_.RecordRequest(verb, ok,
                          static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
@@ -284,31 +261,14 @@ JsonValue Service::AssembleResponse(bool ok, bool has_id, JsonValue id,
                                     ErrorCode error_code,
                                     const std::string& error_message,
                                     const std::string& error_detail, JsonValue body) {
-  const bool compat = options_.compat_v0;
   JsonValue response = JsonValue::Object();
-  if (!compat) {
-    response.Set("v", JsonValue::Number(int64_t{1}));
-  }
+  response.Set("v", JsonValue::Number(int64_t{1}));
   response.Set("ok", JsonValue::Bool(ok));
   if (has_id) {
     response.Set("id", std::move(id));
   }
   if (!ok) {
-    if (compat) {
-      // Legacy shape: bare string, plus errorCode for the codes pre-v1 clients
-      // already branched on.
-      response.Set("error", JsonValue::String(error_message));
-      if (error_code == ErrorCode::kDeadlineExceeded ||
-          error_code == ErrorCode::kLineTooLong) {
-        response.Set("errorCode",
-                     JsonValue::String(std::string(ErrorCodeName(error_code))));
-      }
-    } else {
-      response.Set("error", ErrorEnvelope(error_code, error_message, error_detail));
-    }
-  }
-  if (compat) {
-    LegacyizeKeys(&body);
+    response.Set("error", ErrorEnvelope(error_code, error_message, error_detail));
   }
   for (auto& [key, value] : body.members()) {
     response.Set(key, std::move(value));
@@ -333,6 +293,7 @@ JsonValue Service::ResponseFor(const std::string& verb, const JsonValue& request
     body = Dispatch(verb, request);
     ok = true;
   } catch (const DeadlineExceeded&) {
+    // Structured so clients can retry with a larger budget without string-matching.
     error_code = ErrorCode::kDeadlineExceeded;
     error_message = "deadline_exceeded";
   } catch (const ServiceError& e) {
@@ -351,93 +312,80 @@ JsonValue Service::ResponseFor(const std::string& verb, const JsonValue& request
 }
 
 JsonValue Service::Dispatch(const std::string& verb, const JsonValue& request) {
-  if (!options_.compat_v0) {
-    bool known = verb == "check" || verb == "check_batch" || verb == "coverage" ||
-                 verb == "analyze" || verb == "reload" || verb == "learn" ||
-                 verb == "update" || verb == "stats" || verb == "metrics" ||
-                 verb == "shutdown";
-    if (known) {
-      for (const auto& [field, value] : request.members()) {
-        if (!VerbAllowsField(verb, field)) {
-          throw ServiceError(ErrorCode::kUnknownField,
-                             "unknown field '" + field + "' for verb '" + verb + "'",
-                             field);
-        }
-      }
+  const Verb* row = FindVerb(verb);
+  if (row == nullptr) {
+    throw ServiceError(ErrorCode::kUnknownVerb,
+                       "unknown verb '" + verb + "' (expected " + VerbNames() + ")",
+                       verb);
+  }
+  for (const auto& [field, value] : request.members()) {
+    bool allowed = field == "v" || field == "id" || field == "verb" ||
+                   std::find(row->fields.begin(), row->fields.end(), field) !=
+                       row->fields.end();
+    if (!allowed) {
+      throw ServiceError(ErrorCode::kUnknownField,
+                         "unknown field '" + field + "' for verb '" + verb + "'",
+                         field);
     }
   }
-  if (verb == "check") {
-    return HandleCheck(request, /*coverage_listing=*/false);
-  }
-  if (verb == "check_batch") {
-    return HandleCheckBatch(request);
-  }
-  if (verb == "coverage") {
-    return HandleCheck(request, /*coverage_listing=*/true);
-  }
-  if (verb == "analyze") {
-    return HandleAnalyze(request);
-  }
-  if (verb == "reload") {
-    return HandleReload(request);
-  }
-  if (verb == "learn") {
-    return HandleLearn(request);
-  }
-  if (verb == "update") {
-    return HandleUpdate(request);
-  }
-  if (verb == "stats") {
-    JsonValue body = JsonValue::Object();
-    body.Set("verb", JsonValue::String("stats"));
-    body.Set("stats", metrics_.Snapshot());
-    body.Set("contract_sets", StatsJson());
-    if (durable_ != nullptr) {
-      JsonValue store = JsonValue::Object();
-      store.Set("dir", JsonValue::String(durable_->dir()));
-      store.Set("objects", JsonValue::Number(static_cast<int64_t>(durable_->object_count())));
-      store.Set("bytes", JsonValue::Number(static_cast<int64_t>(durable_->total_bytes())));
-      store.Set("datasets", JsonValue::Number(ToInt64(durable_->Datasets().size())));
-      store.Set("manifest_corrupt", JsonValue::Bool(durable_->manifest_corrupt()));
-      JsonValue stages = JsonValue::Object();
-      for (const auto& [stage, c] : durable_->Counters()) {
-        JsonValue cell = JsonValue::Object();
-        cell.Set("hits", JsonValue::Number(static_cast<int64_t>(c.hits)));
-        cell.Set("misses", JsonValue::Number(static_cast<int64_t>(c.misses)));
-        cell.Set("corrupt", JsonValue::Number(static_cast<int64_t>(c.corrupt)));
-        stages.Set(stage, std::move(cell));
-      }
-      store.Set("stages", std::move(stages));
-      body.Set("store", std::move(store));
-    }
-    return body;
-  }
-  if (verb == "metrics") {
-    JsonValue body = JsonValue::Object();
-    body.Set("verb", JsonValue::String("metrics"));
-    body.Set("exposition", JsonValue::String(PrometheusText()));
-    return body;
-  }
-  if (verb == "shutdown") {
-    RequestShutdown();
-    JsonValue body = JsonValue::Object();
-    body.Set("verb", JsonValue::String("shutdown"));
-    body.Set("stats", metrics_.Snapshot());
-    return body;
-  }
-  throw ServiceError(ErrorCode::kUnknownVerb,
-                     "unknown verb '" + verb +
-                         "' (expected check|check_batch|coverage|analyze|reload|"
-                         "learn|update|stats|metrics|shutdown)",
-                     verb);
+  return row->handle(*this, request);
 }
 
-JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) {
-  // Resolve the target contract set; with a single loaded set the name is optional.
-  std::string name;
-  if (auto n = request.GetString("contracts")) {
-    name = *n;
-  } else {
+JsonValue Service::HandleStats() {
+  JsonValue body = JsonValue::Object();
+  body.Set("verb", JsonValue::String("stats"));
+  body.Set("stats", metrics_.Snapshot());
+  JsonValue sets = JsonValue::Array();
+  for (const auto& entry : store_.All()) {
+    JsonValue item = JsonValue::Object();
+    item.Set("name", JsonValue::String(entry->name));
+    item.Set("path", JsonValue::String(entry->path));
+    item.Set("contracts", JsonValue::Number(ToInt64(entry->set.contracts.size())));
+    item.Set("patterns", JsonValue::Number(ToInt64(entry->table.size())));
+    item.Set("cached_configs", JsonValue::Number(ToInt64(entry->cache.size())));
+    sets.Append(std::move(item));
+  }
+  body.Set("contract_sets", std::move(sets));
+  if (durable_ != nullptr) {
+    JsonValue store = JsonValue::Object();
+    store.Set("dir", JsonValue::String(durable_->dir()));
+    store.Set("objects", JsonValue::Number(static_cast<int64_t>(durable_->object_count())));
+    store.Set("bytes", JsonValue::Number(static_cast<int64_t>(durable_->total_bytes())));
+    store.Set("datasets", JsonValue::Number(ToInt64(durable_->Datasets().size())));
+    store.Set("manifest_corrupt", JsonValue::Bool(durable_->manifest_corrupt()));
+    JsonValue stages = JsonValue::Object();
+    for (const auto& [stage, c] : durable_->Counters()) {
+      JsonValue cell = JsonValue::Object();
+      cell.Set("hits", JsonValue::Number(static_cast<int64_t>(c.hits)));
+      cell.Set("misses", JsonValue::Number(static_cast<int64_t>(c.misses)));
+      cell.Set("corrupt", JsonValue::Number(static_cast<int64_t>(c.corrupt)));
+      stages.Set(stage, std::move(cell));
+    }
+    store.Set("stages", std::move(stages));
+    body.Set("store", std::move(store));
+  }
+  return body;
+}
+
+JsonValue Service::HandleMetrics() {
+  JsonValue body = JsonValue::Object();
+  body.Set("verb", JsonValue::String("metrics"));
+  body.Set("exposition", JsonValue::String(PrometheusText()));
+  return body;
+}
+
+JsonValue Service::HandleShutdown() {
+  RequestShutdown();
+  JsonValue body = JsonValue::Object();
+  body.Set("verb", JsonValue::String("shutdown"));
+  body.Set("stats", metrics_.Snapshot());
+  return body;
+}
+
+std::shared_ptr<LoadedContractSet> Service::ResolveContractSet(
+    const JsonValue& request) {
+  auto name = request.GetString("contracts");
+  if (!name) {
     auto all = store_.All();
     if (all.size() != 1) {
       throw ServiceError(ErrorCode::kMissingField,
@@ -445,21 +393,20 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
                              " contract sets are loaded",
                          "contracts");
     }
-    name = all[0]->name;
+    return all[0];
   }
-  std::shared_ptr<LoadedContractSet> entry = store_.Get(name);
+  std::shared_ptr<LoadedContractSet> entry = store_.Get(*name);
   if (entry == nullptr) {
     throw ServiceError(ErrorCode::kUnknownContractSet,
-                       "unknown contract set '" + name + "' (reload it with a path)",
-                       name);
+                       "unknown contract set '" + *name + "' (reload it with a path)",
+                       *name);
   }
+  return entry;
+}
 
-  // Optional per-request wall-clock budget; expiry raises DeadlineExceeded which
-  // HandleLine turns into a structured {"errorCode":"deadline_exceeded"} response.
-  Deadline deadline = Deadline::Never();
-  if (auto ms = request.GetInt("deadline_ms"); ms.has_value() && *ms > 0) {
-    deadline = Deadline::After(*ms);
-  }
+JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) {
+  std::shared_ptr<LoadedContractSet> entry = ResolveContractSet(request);
+  Deadline deadline = RequestDeadline(request);
 
   const JsonValue* configs = request.Find("configs");
   if (configs == nullptr || !configs->is_array() || configs->items().empty()) {
@@ -627,7 +574,7 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
 
   JsonValue body = JsonValue::Object();
   body.Set("verb", JsonValue::String(coverage_listing ? "coverage" : "check"));
-  body.Set("contracts", JsonValue::String(name));
+  body.Set("contracts", JsonValue::String(entry->name));
   body.Set("configs_checked", JsonValue::Number(ToInt64(indexes.size())));
   body.Set("cache_hits", JsonValue::Number(static_cast<int64_t>(hits)));
   body.Set("cache_misses", JsonValue::Number(static_cast<int64_t>(misses)));
@@ -639,40 +586,22 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   // so clients consume one schema. Omitted for clean batches so clean responses
   // stay byte-identical.
   if (!degraded.empty()) {
-    body.Set("degraded", DegradedJson(degraded, options_.compat_v0));
+    body.Set("degraded", DegradedJsonValue(degraded));
   }
   if (coverage_listing) {
     body.Set("coverage", CoverageJsonValue(result));
     body.Set("listing", JsonValue::String(CoverageReportText(result)));
   } else {
-    body.Set("report",
-             ReportJsonValue(result, entry->set, entry->table, options_.compat_v0));
+    body.Set("report", ReportJsonValue(result, entry->set, entry->table));
   }
   return body;
 }
 
 JsonValue Service::HandleCheckBatch(const JsonValue& request) {
   // Resolve the target contract set once for the whole batch, with the same
-  // rules as `check` (name optional when exactly one set is loaded). Resolution
-  // failures fail the batch — there is nothing per-slot to isolate yet.
-  std::string name;
-  if (auto n = request.GetString("contracts")) {
-    name = *n;
-  } else {
-    auto all = store_.All();
-    if (all.size() != 1) {
-      throw ServiceError(ErrorCode::kMissingField,
-                         "'contracts' is required when " + std::to_string(all.size()) +
-                             " contract sets are loaded",
-                         "contracts");
-    }
-    name = all[0]->name;
-  }
-  if (store_.Get(name) == nullptr) {
-    throw ServiceError(ErrorCode::kUnknownContractSet,
-                       "unknown contract set '" + name + "' (reload it with a path)",
-                       name);
-  }
+  // rules as `check`. Resolution failures fail the batch — there is nothing
+  // per-slot to isolate yet.
+  const std::string name = ResolveContractSet(request)->name;
 
   const JsonValue* requests = request.Find("requests");
   if (requests == nullptr || !requests->is_array() || requests->items().empty()) {
@@ -774,7 +703,9 @@ std::string ContractIdentity(const Contract& c, const PatternTable& table) {
 }
 
 // Threshold overrides shared by learn (onto defaults) and update (onto the
-// options the dataset was learned with).
+// options the dataset was learned with). Members are validated like top-level
+// request fields: an unknown one is unknown_field, a wrongly typed one
+// invalid_field, so a typo ("suport") cannot silently learn with the default.
 void MergeLearnOptions(const JsonValue& request, LearnOptions* options) {
   const JsonValue* opts = request.Find("options");
   if (opts == nullptr) {
@@ -784,18 +715,28 @@ void MergeLearnOptions(const JsonValue& request, LearnOptions* options) {
     throw ServiceError(ErrorCode::kInvalidField, "'options' must be an object",
                        "options");
   }
+  for (const auto& [member, value] : opts->members()) {
+    bool numeric =
+        member == "support" || member == "confidence" || member == "score_threshold";
+    if (!numeric && member != "minimize" && member != "constants") {
+      throw ServiceError(ErrorCode::kUnknownField,
+                         "unknown field '" + member + "' in 'options'", member);
+    }
+    if (numeric ? !value.is_number() : !value.is_bool()) {
+      throw ServiceError(ErrorCode::kInvalidField,
+                         "'options." + member + "' must be " +
+                             (numeric ? "a number" : "a boolean"),
+                         member);
+    }
+  }
   if (auto v = opts->GetInt("support")) {
     options->support = static_cast<int>(*v);
   }
   if (auto v = opts->GetDouble("confidence")) {
     options->confidence = *v;
   }
-  // Canonical snake_case; "scoreThreshold" accepted for one release as a
-  // deprecated alias (the protocol's one pre-v1 camelCase request field).
   if (auto v = opts->GetDouble("score_threshold")) {
     options->score_threshold = *v;
-  } else if (auto legacy = opts->GetDouble("scoreThreshold")) {
-    options->score_threshold = *legacy;
   }
   if (auto v = opts->GetBool("minimize")) {
     options->minimize = *v;
@@ -803,13 +744,6 @@ void MergeLearnOptions(const JsonValue& request, LearnOptions* options) {
   if (auto v = opts->GetBool("constants")) {
     options->constants = *v;
   }
-}
-
-Deadline RequestDeadline(const JsonValue& request) {
-  if (auto ms = request.GetInt("deadline_ms"); ms.has_value() && *ms > 0) {
-    return Deadline::After(*ms);
-  }
-  return Deadline::Never();
 }
 
 // Upserts a {name, text} batch with per-config fault isolation: a config whose
@@ -909,27 +843,9 @@ JsonValue Service::HandleAnalyze(const JsonValue& request) {
   } else {
     // Contract-set form, resolved like `check` (name optional when exactly one
     // set is loaded). No configs are at hand, so the analysis runs set-only.
-    std::string name;
-    if (auto n = request.GetString("contracts")) {
-      name = *n;
-    } else {
-      auto all = store_.All();
-      if (all.size() != 1) {
-        throw ServiceError(ErrorCode::kMissingField,
-                           "'contracts' is required when " + std::to_string(all.size()) +
-                               " contract sets are loaded",
-                           "contracts");
-      }
-      name = all[0]->name;
-    }
-    std::shared_ptr<LoadedContractSet> entry = store_.Get(name);
-    if (entry == nullptr) {
-      throw ServiceError(ErrorCode::kUnknownContractSet,
-                         "unknown contract set '" + name + "' (reload it with a path)",
-                         name);
-    }
+    std::shared_ptr<LoadedContractSet> entry = ResolveContractSet(request);
     analysis = AnalyzeContracts(entry->set, entry->table, analyze_options);
-    body.Set("contracts", JsonValue::String(name));
+    body.Set("contracts", JsonValue::String(entry->name));
   }
 
   metrics_.registry().Count("concord_analyze_runs_total",
@@ -1150,7 +1066,7 @@ JsonValue Service::RelearnAndInstall(const std::string& name, ResidentDataset& d
   body.Set("artifacts", std::move(artifacts));
 
   if (!degraded.empty()) {
-    body.Set("degraded", DegradedJson(degraded, options_.compat_v0));
+    body.Set("degraded", DegradedJsonValue(degraded));
   }
 
   dataset.contracts = std::move(result.set);
@@ -1280,20 +1196,6 @@ std::shared_ptr<Service::ResidentDataset> Service::HydrateDataset(
     }
   }
   return dataset;
-}
-
-JsonValue Service::StatsJson() const {
-  JsonValue sets = JsonValue::Array();
-  for (const auto& entry : store_.All()) {
-    JsonValue item = JsonValue::Object();
-    item.Set("name", JsonValue::String(entry->name));
-    item.Set("path", JsonValue::String(entry->path));
-    item.Set("contracts", JsonValue::Number(ToInt64(entry->set.contracts.size())));
-    item.Set("patterns", JsonValue::Number(ToInt64(entry->table.size())));
-    item.Set("cached_configs", JsonValue::Number(ToInt64(entry->cache.size())));
-    sets.Append(std::move(item));
-  }
-  return sets;
 }
 
 std::string Service::PrometheusText() const {

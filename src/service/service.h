@@ -8,7 +8,10 @@
 // response opens with "v":1,"ok":...:
 //
 //   {"v":1,"verb":"check","contracts":"edge","configs":[{"name":...,"text":...}]}
+//   {"v":1,"verb":"check_batch","requests":[{"configs":[...]},...]}
+//                                             many checks, one slot each
 //   {"v":1,"verb":"coverage", ...}  per-line coverage listing for a batch
+//   {"v":1,"verb":"analyze","contracts":"edge"}   static contract-set analysis
 //   {"v":1,"verb":"reload","name":"edge"}     hot-swap a contract set from disk
 //   {"v":1,"verb":"learn","dataset":"edge","configs":[...]}   learn contracts
 //                                             from a batch, keeping it resident
@@ -30,9 +33,9 @@
 // the closed ErrorCode enum (src/util/error_code.h) — and never terminate the
 // loop. Missing "v" or "v">1 and unknown verbs/fields are themselves structured
 // errors (missing_field / unsupported_version / unknown_verb / unknown_field).
-// ServiceOptions.compat_v0 restores the pre-v1 wire shape for one release:
-// requests need no "v", errors are bare strings, and response keys keep their
-// legacy camelCase spellings. Tests drive the loop in-process through
+// One table in service.cc lists every verb with the request fields it accepts
+// and its handler; dispatch, field validation and the verb lists in error
+// messages all read it. Tests drive the loop in-process through
 // RunService(istream&, ostream&), mirroring RunConcord.
 //
 // Robustness: check/coverage requests accept "deadline_ms" (wall-clock budget;
@@ -48,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/check/checker.h"
@@ -67,10 +71,6 @@ namespace concord {
 struct ServiceOptions {
   int parallelism = 0;          // Worker threads for batched checking (0 = all cores).
   size_t cache_capacity = 256;  // Parsed-config LRU entries per contract set.
-  // Speak the legacy (pre-v1) wire protocol: no "v" envelope, bare-string
-  // errors, camelCase response keys. One-release deprecation escape hatch
-  // (--compat-v0).
-  bool compat_v0 = false;
   // Directory of the durable artifact store (DESIGN.md §10). Empty disables
   // persistence; non-empty warm-restarts every persisted contract set at
   // construction and persists learn/update results.
@@ -119,10 +119,6 @@ class Service {
   // connection/admission families into the embedded registry().
   Metrics& metrics() { return metrics_; }
 
-  // True when the service speaks the legacy (pre-v1) wire shape; the socket
-  // frontend consults this so its own replies (line_too_long) match.
-  bool compat_v0() const { return options_.compat_v0; }
-
   // The durable store backing this service; nullptr without --store-dir.
   DurableStore* durable_store() { return durable_.get(); }
 
@@ -147,6 +143,17 @@ class Service {
     bool learned CONCORD_GUARDED_BY(mu) = false;
   };
 
+  // One row of the verb table (service.cc): a verb's name, the request fields
+  // it accepts besides the v/id/verb envelope, and its handler.
+  struct Verb;
+  static const std::vector<Verb>& Verbs();
+  // The row for `name`; nullptr for a verb the service does not speak.
+  static const Verb* FindVerb(std::string_view name);
+  // "check|check_batch|...", in table order, for the missing/unknown-verb errors.
+  static std::string VerbNames();
+
+  // Looks `verb` up in the table, rejects unknown verbs and fields, and runs
+  // the row's handler.
   JsonValue Dispatch(const std::string& verb, const JsonValue& request);
   // Dispatches `verb` and wraps the outcome in the complete v1 response
   // envelope (v, ok, id, error, body) — the post-parse tail of HandleLine.
@@ -154,12 +161,16 @@ class Service {
   // makes a batch slot byte-identical to the standalone check response.
   JsonValue ResponseFor(const std::string& verb, const JsonValue& request,
                         bool* ok_out = nullptr);
-  // Builds the v1 response envelope (v, ok, id?, error?, body members), with
-  // compat_v0 downgrades applied. Shared by HandleLine's error tail and
-  // ResponseFor so batched and standalone responses serialize identically.
+  // Builds the v1 response envelope (v, ok, id?, error?, body members). Shared
+  // by HandleLine's error tail and ResponseFor so batched and standalone
+  // responses serialize identically.
   JsonValue AssembleResponse(bool ok, bool has_id, JsonValue id,
                              ErrorCode error_code, const std::string& error_message,
                              const std::string& error_detail, JsonValue body);
+  // The loaded set a check/check_batch/analyze request names in "contracts";
+  // the name is optional when exactly one set is loaded.
+  std::shared_ptr<LoadedContractSet> ResolveContractSet(const JsonValue& request);
+  // `check` and `coverage` (the per-line listing instead of the report).
   JsonValue HandleCheck(const JsonValue& request, bool coverage_listing);
   // `check_batch`: N logically independent check sub-requests sharing one
   // request envelope, contract-set resolution, and metadata block (DESIGN.md
@@ -174,6 +185,9 @@ class Service {
   JsonValue HandleReload(const JsonValue& request);
   JsonValue HandleLearn(const JsonValue& request);
   JsonValue HandleUpdate(const JsonValue& request);
+  JsonValue HandleStats();
+  JsonValue HandleMetrics();
+  JsonValue HandleShutdown();
 
   // Installs every persisted contract set from the durable store at startup,
   // skipping relearning entirely; corrupt objects degrade to "relearn on next
@@ -201,8 +215,6 @@ class Service {
                               bool had_previous,
                               std::vector<SkippedFile> degraded)
       CONCORD_REQUIRES(dataset.mu);
-
-  JsonValue StatsJson() const;
 
   ServiceOptions options_;
   Lexer lexer_;

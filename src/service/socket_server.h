@@ -29,9 +29,9 @@ namespace concord {
 
 struct SocketServerOptions {
   // Per-connection cap on a single NDJSON request line. A client exceeding it
-  // gets {"v":1,"ok":false,"error":{"code":"line_too_long",...}} (legacy shape
-  // under --compat-v0) and its connection is closed — the server's memory use
-  // stays bounded no matter what clients send.
+  // gets {"v":1,"ok":false,"error":{"code":"line_too_long",...}} and its
+  // connection is closed — the server's memory use stays bounded no matter
+  // what clients send.
   size_t max_line_bytes = 16 * 1024 * 1024;
   int backlog = 8;             // listen(2) backlog.
   // Concurrent open connections. Unlike the old thread-per-connection pool cap

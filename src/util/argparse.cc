@@ -32,21 +32,6 @@ bool ArgParser::Parse(int argc, const char* const* argv, int start) {
       has_value = true;
     }
     auto it = specs_.find(name);
-    if (it == specs_.end() && name.find('_') != std::string::npos) {
-      // Deprecated alias: the canonical spellings are kebab-case, but the
-      // snake_case forms some flags historically shipped with keep parsing for
-      // one release (Usage() carries the deprecation note).
-      std::string canonical = name;
-      for (char& c : canonical) {
-        if (c == '_') {
-          c = '-';
-        }
-      }
-      it = specs_.find(canonical);
-      if (it != specs_.end()) {
-        name = canonical;
-      }
-    }
     if (it == specs_.end()) {
       error_ = "unknown flag: --" + name;
       return false;
@@ -132,8 +117,6 @@ std::string ArgParser::Usage() const {
     }
     out << "\n      " << spec.help << "\n";
   }
-  out << "  (snake_case flag spellings, e.g. --deadline_ms, are deprecated aliases"
-         " of the\n   kebab-case forms and will be removed in a future release)\n";
   return out.str();
 }
 

@@ -188,7 +188,7 @@ TEST(Checker, CoverageSkipsMeasurementWhenDisabled) {
   LearnedWorld world = LearnWorld();
   Dataset tests = ParseTests(&world, {GoodConfig(80)});
   Checker checker(&world.set, &tests.patterns);
-  CheckResult result = checker.Check(tests, /*measure_coverage=*/false);
+  CheckResult result = checker.Check(tests, CheckOptions{.measure_coverage = false});
   EXPECT_EQ(result.covered_lines, 0u);
   EXPECT_GT(result.total_lines, 0u);
 }
@@ -237,10 +237,9 @@ TEST(Checker, ParallelCheckMatchesSerial) {
   std::string bad2 = ReplaceAll(GoodConfig(51), "vlan 1867", "vlan 1868");
   Dataset tests = ParseTests(&world, {GoodConfig(49), bad1, bad2, GoodConfig(52)});
 
-  Checker serial(&world.set, &tests.patterns, /*parallelism=*/1);
-  Checker parallel(&world.set, &tests.patterns, /*parallelism=*/4);
-  CheckResult a = serial.Check(tests);
-  CheckResult b = parallel.Check(tests);
+  Checker checker(&world.set, &tests.patterns);
+  CheckResult a = checker.Check(tests, CheckOptions{.parallelism = 1});
+  CheckResult b = checker.Check(tests, CheckOptions{.parallelism = 4});
 
   ASSERT_EQ(a.violations.size(), b.violations.size());
   for (size_t i = 0; i < a.violations.size(); ++i) {
@@ -292,7 +291,7 @@ TEST(Checker, RepeatedChecksReuseThePlanUnchanged) {
   }
 }
 
-TEST(Checker, OptionsCheckMatchesLegacyOverload) {
+TEST(Checker, NoCoverageOptionKeepsViolations) {
   LearnedWorld world = LearnWorld();
   std::string bad = ReplaceAll(GoodConfig(50), "vlan 1850", "vlan 1851");
   Dataset tests = ParseTests(&world, {GoodConfig(49), bad});
@@ -303,14 +302,11 @@ TEST(Checker, OptionsCheckMatchesLegacyOverload) {
   }
 
   Checker checker(&world.set, &tests.patterns);
-  CheckResult legacy = checker.Check(ptrs);
-  CheckResult with_options = checker.Check(ptrs, CheckOptions{});
-  EXPECT_TRUE(SameResult(legacy, with_options));
-
+  CheckResult full = checker.Check(ptrs, CheckOptions{});
   CheckOptions no_coverage;
   no_coverage.measure_coverage = false;
   CheckResult lean = checker.Check(ptrs, no_coverage);
-  EXPECT_EQ(lean.violations.size(), legacy.violations.size());
+  EXPECT_EQ(lean.violations.size(), full.violations.size());
   EXPECT_EQ(lean.covered_lines, 0u);
   EXPECT_TRUE(lean.per_config.empty());
 }

@@ -141,6 +141,9 @@ TEST_F(CliTest, UsageErrors) {
                  (dir_ / "missing.json").string()},
                 nullptr, &err),
             2);
+  // Family parameters are knobs only (--knob role=2); per-family flags are unknown.
+  EXPECT_EQ(Run({"datagen", "--family", "wan", "--role", "2"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("unknown flag: --role"), std::string::npos) << err;
 }
 
 TEST_F(CliTest, DisableCategory) {
@@ -450,25 +453,32 @@ TEST_F(CliTest, CheckProfileCoversTheCheckStages) {
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
                  ContractsPath()}),
             0);
-  std::string out;
-  ASSERT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
-                 ContractsPath(), "--profile"},
-                &out),
-            0);
-  EXPECT_NE(out.find("profile: per-stage breakdown"), std::string::npos);
-  EXPECT_NE(out.find("check/total"), std::string::npos);
-  // Loading the configs bills to the verb that asked for it.
-  EXPECT_NE(out.find("check/parse"), std::string::npos);
-  EXPECT_EQ(out.find("learn/"), std::string::npos) << out;
+  // The pruned coverage-off run takes the same path as the plain one, so it
+  // shows the same stage rows.
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{},
+        std::vector<std::string>{"--no-coverage", "--prune-subsumed"}}) {
+    std::vector<std::string> args = {"check", "--configs", ConfigsGlob(), "--contracts",
+                                     ContractsPath(), "--profile"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::string out;
+    ASSERT_EQ(Run(args, &out), 0);
+    EXPECT_NE(out.find("profile: per-stage breakdown"), std::string::npos) << out;
+    EXPECT_NE(out.find("check/total"), std::string::npos) << out;
+    EXPECT_NE(out.find("check/index"), std::string::npos) << out;
+    // Loading the configs bills to the verb that asked for it.
+    EXPECT_NE(out.find("check/parse"), std::string::npos) << out;
+    EXPECT_EQ(out.find("learn/"), std::string::npos) << out;
+  }
 }
 
-TEST_F(CliTest, JsonReportCarriesErrorEnvelopeAndCompatV0RestoresLegacyShape) {
+TEST_F(CliTest, JsonReportDegradedEntriesCarryTheErrorEnvelope) {
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
                  ContractsPath()}),
             0);
   std::string json_path = (dir_ / "report.json").string();
 
-  // v1 report: degraded entries carry the structured {code, message} envelope.
+  // Degraded entries carry the structured {code, message} envelope.
   ASSERT_TRUE(FaultInjector::Global().Configure("read_file:fail_nth=2"));
   ASSERT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
                  ContractsPath(), "--json-out", json_path}),
@@ -484,31 +494,6 @@ TEST_F(CliTest, JsonReportCarriesErrorEnvelopeAndCompatV0RestoresLegacyShape) {
   EXPECT_EQ(entry_error->GetString("code"), "io_error");
   EXPECT_NE(entry_error->GetString("message")->find("injected fault"),
             std::string::npos);
-
-  // --compat-v0: the legacy {file, reason} spelling, no envelope.
-  ASSERT_TRUE(FaultInjector::Global().Configure("read_file:fail_nth=2"));
-  ASSERT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
-                 ContractsPath(), "--json-out", json_path, "--compat-v0"}),
-            3);
-  FaultInjector::Global().Reset();
-  auto legacy = JsonValue::Parse(ReadFile(json_path));
-  ASSERT_TRUE(legacy.has_value());
-  const JsonValue* legacy_degraded = legacy->Find("degraded");
-  ASSERT_NE(legacy_degraded, nullptr);
-  ASSERT_EQ(legacy_degraded->items().size(), 1u);
-  EXPECT_TRUE(legacy_degraded->items()[0].GetString("reason").has_value());
-  EXPECT_EQ(legacy_degraded->items()[0].Find("error"), nullptr);
-}
-
-TEST_F(CliTest, SnakeCaseFlagAliasesKeepWorking) {
-  // --deadline_ms is the deprecated spelling of --deadline-ms; a generous
-  // budget means the run still succeeds end to end.
-  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3",
-                 "--score_threshold", "3.0", "--out", ContractsPath()}),
-            0);
-  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts",
-                 ContractsPath(), "--deadline_ms", "60000"}),
-            0);
 }
 
 }  // namespace

@@ -60,7 +60,7 @@ TEST(PerLineCoverage, BitsSumToAggregates) {
 TEST(PerLineCoverage, DisabledWhenCoverageOff) {
   Fixture f;
   Checker checker(&f.set, &f.dataset.patterns);
-  CheckResult result = checker.Check(f.dataset, /*measure_coverage=*/false);
+  CheckResult result = checker.Check(f.dataset, CheckOptions{.measure_coverage = false});
   EXPECT_TRUE(result.per_config.empty());
 }
 

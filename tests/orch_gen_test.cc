@@ -121,7 +121,7 @@ TEST(OrchGen, BuggyDescriptorIsCaught) {
     tests.configs.push_back(parser.Parse(config.name, config.text));
   }
   Checker checker(&set, &tests.patterns);
-  CheckResult result = checker.Check(tests, /*measure_coverage=*/false);
+  CheckResult result = checker.Check(tests, CheckOptions{.measure_coverage = false});
   bool flagged = false;
   for (const Violation& v : result.violations) {
     if (v.config == mutated.configs[3].name) {

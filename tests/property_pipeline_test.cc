@@ -119,7 +119,7 @@ TEST_P(PipelineProperty, RemovingACoveredLineViolatesSomething) {
     lines.erase(lines.begin() + static_cast<long>(pick));
 
     Checker recheck(&set, &tests.patterns);
-    CheckResult result = recheck.Check(tests, /*measure_coverage=*/false);
+    CheckResult result = recheck.Check(tests, CheckOptions{.measure_coverage = false});
     EXPECT_FALSE(result.violations.empty())
         << corpus.role << " " << per.config << ":" << line_number
         << " was reported covered but removing `" << removed << "` violated nothing";

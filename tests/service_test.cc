@@ -887,6 +887,78 @@ TEST_F(ServiceTest, UnknownRequestFieldFailsLoudly) {
   EXPECT_EQ(error->GetString("code"), "unknown_verb");
 }
 
+TEST_F(ServiceTest, LearnOptionsAreValidatedLikeRequestFields) {
+  Service service(ServiceOptions{});
+  auto send = [&](const std::string& verb, const std::string& options) {
+    JsonValue request = JsonValue::Object();
+    request.Set("v", JsonValue::Number(int64_t{1}));
+    request.Set("verb", JsonValue::String(verb));
+    request.Set("dataset", JsonValue::String("lab"));
+    JsonValue configs = JsonValue::Array();
+    for (int i = 1; i <= 3; ++i) {
+      JsonValue item = JsonValue::Object();
+      item.Set("name", JsonValue::String(ConfigPath(i)));
+      item.Set("text", JsonValue::String(Config(i)));
+      configs.Append(std::move(item));
+    }
+    request.Set("configs", std::move(configs));
+    request.Set("options", *JsonValue::Parse(options));
+    return Respond(service, request.Serialize(0));
+  };
+  JsonValue learned = send("learn", R"({"support":2})");
+  EXPECT_EQ(learned.GetBool("ok"), true);
+  EXPECT_GT(learned.GetInt("contracts").value_or(0), 0);
+
+  // A typo, the retired camelCase spelling, and a wrongly typed value each
+  // fail loudly instead of learning with the default support.
+  struct Case {
+    const char* verb;
+    const char* options;
+    const char* code;
+    const char* detail;
+  };
+  for (const Case& c : {Case{"learn", R"({"suport":2})", "unknown_field", "suport"},
+                        Case{"learn", R"({"scoreThreshold":3})", "unknown_field",
+                             "scoreThreshold"},
+                        Case{"learn", R"({"support":"2"})", "invalid_field", "support"},
+                        Case{"update", R"({"suport":2})", "unknown_field", "suport"},
+                        Case{"update", R"({"minimize":1})", "invalid_field",
+                             "minimize"}}) {
+    JsonValue response = send(c.verb, c.options);
+    EXPECT_EQ(response.GetBool("ok"), false) << c.verb << " " << c.options;
+    const JsonValue* error = response.Find("error");
+    ASSERT_NE(error, nullptr) << c.verb << " " << c.options;
+    EXPECT_EQ(error->GetString("code"), c.code) << c.verb << " " << c.options;
+    EXPECT_EQ(error->GetString("detail"), c.detail) << c.verb << " " << c.options;
+  }
+}
+
+TEST_F(ServiceTest, UnknownVerbsAreCountedUnderTheInvalidLabel) {
+  auto service = MakeService();
+  constexpr int kBogus = 40;
+  for (int i = 0; i < kBogus; ++i) {
+    JsonValue response = Respond(
+        *service, R"({"v":1,"verb":"bogus-)" + std::to_string(i) + R"("})");
+    EXPECT_EQ(response.Find("error")->GetString("code"), "unknown_verb");
+  }
+  JsonValue stats = Respond(*service, R"({"v":1,"verb":"stats"})");
+  const JsonValue* verbs = stats.Find("stats")->Find("verbs");
+  ASSERT_NE(verbs, nullptr);
+  for (const auto& [verb, value] : verbs->members()) {
+    EXPECT_EQ(verb.find("bogus"), std::string::npos) << verb;
+  }
+  ASSERT_NE(verbs->Find("invalid"), nullptr);
+  EXPECT_EQ(verbs->Find("invalid")->GetInt("count"), kBogus);
+
+  auto exposition =
+      Respond(*service, R"({"v":1,"verb":"metrics"})").GetString("exposition");
+  ASSERT_TRUE(exposition.has_value());
+  EXPECT_EQ(exposition->find("verb=\"bogus"), std::string::npos);
+  EXPECT_NE(exposition->find("concord_requests_total{verb=\"invalid\",status=\"error\"} " +
+                             std::to_string(kBogus)),
+            std::string::npos);
+}
+
 TEST_F(ServiceTest, MetricsVerbReturnsPrometheusExposition) {
   auto service = MakeService();
   // The trace collector is a process-wide singleton; start its stage totals
@@ -918,93 +990,6 @@ TEST_F(ServiceTest, MetricsVerbReturnsPrometheusExposition) {
             std::string::npos);
   EXPECT_NE(exposition->find("concord_contract_set_contracts{set=\"edge\"}"),
             std::string::npos);
-}
-
-TEST_F(ServiceTest, CompatV0SpeaksTheLegacyWireShape) {
-  BreakDev3();
-  ServiceOptions options;
-  options.compat_v0 = true;
-  Service service(options);
-  std::string error;
-  ASSERT_TRUE(service.LoadContracts("edge", ContractsPath(), &error)) << error;
-
-  // Requests need no "v"; responses carry no "v" and keep camelCase keys.
-  std::string base = CheckRequest("check", "edge", ConfigPaths());
-  auto request = JsonValue::Parse(base);
-  ASSERT_TRUE(request.has_value());
-  JsonValue response = Respond(service, request->Serialize(0));
-  EXPECT_EQ(response.GetBool("ok"), true);
-  EXPECT_EQ(response.Find("v"), nullptr);
-  EXPECT_EQ(response.GetInt("configsChecked"), 6);
-  EXPECT_EQ(response.GetInt("cacheMisses"), 6);
-  EXPECT_EQ(response.Find("configs_checked"), nullptr);
-
-  // Unknown fields pass through silently, as they always did pre-v1.
-  request->Set("metdata", JsonValue::Array());
-  EXPECT_EQ(Respond(service, request->Serialize(0)).GetBool("ok"), true);
-
-  // Errors are bare strings; deadline expiry keeps its legacy errorCode member.
-  JsonValue bad = Respond(service, R"({"verb":"frobnicate"})");
-  EXPECT_EQ(bad.GetBool("ok"), false);
-  EXPECT_TRUE(bad.GetString("error").has_value());
-  EXPECT_EQ(bad.Find("errorCode"), nullptr);
-  auto expiring = JsonValue::Parse(base);
-  expiring->Set("deadline_ms", JsonValue::Number(int64_t{1}));
-  ASSERT_TRUE(FaultInjector::Global().Configure("check:delay_ms=50"));
-  JsonValue expired = Respond(service, expiring->Serialize(0));
-  FaultInjector::Global().Reset();
-  EXPECT_EQ(expired.GetString("error"), "deadline_exceeded");
-  EXPECT_EQ(expired.GetString("errorCode"), "deadline_exceeded");
-
-  // Degraded entries keep the legacy {file, reason} shape. A fresh service is
-  // needed so the configs actually parse (the first check above cached them).
-  Service fresh(options);
-  ASSERT_TRUE(fresh.LoadContracts("edge", ContractsPath(), &error)) << error;
-  ASSERT_TRUE(FaultInjector::Global().Configure("parse:fail_nth=1"));
-  JsonValue degraded_response = Respond(fresh, base);
-  FaultInjector::Global().Reset();
-  const JsonValue* degraded = degraded_response.Find("degraded");
-  ASSERT_NE(degraded, nullptr);
-  EXPECT_TRUE(degraded->items()[0].GetString("reason").has_value());
-  EXPECT_EQ(degraded->items()[0].Find("error"), nullptr);
-
-  // Stats keep their legacy spellings.
-  JsonValue stats = Respond(service, R"({"verb":"stats"})");
-  ASSERT_NE(stats.Find("contractSets"), nullptr);
-  EXPECT_NE(stats.Find("stats")->Find("work")->GetInt("configsChecked"),
-            std::nullopt);
-}
-
-TEST_F(ServiceTest, CompatV0SocketKeepsLegacyLineTooLongShape) {
-  ServiceOptions service_options;
-  service_options.compat_v0 = true;
-  Service service(service_options);
-  std::string error;
-  ASSERT_TRUE(service.LoadContracts("edge", ContractsPath(), &error)) << error;
-
-  std::string socket_path = (dir_ / "compat.sock").string();
-  SocketServerOptions options;
-  options.max_line_bytes = 128;
-  std::ostringstream err;
-  std::thread server(
-      [&] { RunServiceSocket(service, socket_path, err, nullptr, options); });
-
-  int fd = ConnectTo(socket_path);
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(WriteStr(fd, std::string(4096, 'x')));
-  std::string received = ReadUntilEof(fd);
-  ::close(fd);
-  EXPECT_NE(received.find("\"errorCode\":\"line_too_long\""), std::string::npos);
-  EXPECT_EQ(received.find("\"v\":1"), std::string::npos);
-
-  int last = ConnectTo(socket_path);
-  ASSERT_GE(last, 0);
-  ASSERT_TRUE(WriteStr(last, "{\"verb\":\"shutdown\"}\n"));
-  auto response = JsonValue::Parse(ReadLine(last), &error);
-  ASSERT_TRUE(response.has_value()) << error;
-  EXPECT_EQ(response->GetBool("ok"), true);
-  ::close(last);
-  server.join();
 }
 
 // ---- check_batch (DESIGN.md §12) ----

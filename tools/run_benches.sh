@@ -43,12 +43,15 @@ serve_smoke() {
   done
   "$concord" learn --configs "$tmp/*.cfg" --support 2 --quiet \
     --out "$tmp/contracts.json" || exit 2
-  # Canned v1 request file: a batched check, a cache-hitting repeat, stats,
-  # a metrics scrape, shutdown.
+  # Canned v1 request file: a batched check, a cache-hitting repeat, the error
+  # path (a request without "v", an unknown verb), stats, a metrics scrape,
+  # shutdown.
   text1="$(sed -e 's/$/\\n/' "$tmp/dev1.cfg" | tr -d '\n')"
   cat > "$tmp/requests.ndjson" <<EOF
 {"v":1,"verb":"check","contracts":"smoke","configs":[{"name":"dev1.cfg","text":"$text1"}]}
 {"v":1,"verb":"check","contracts":"smoke","configs":[{"name":"dev1.cfg","text":"$text1"}]}
+{"verb":"stats"}
+{"v":1,"verb":"frobnicate"}
 {"v":1,"verb":"stats"}
 {"v":1,"verb":"metrics"}
 {"v":1,"verb":"shutdown"}
@@ -56,8 +59,21 @@ EOF
   out="$("$concord" serve --contracts "smoke=$tmp/contracts.json" --quiet \
     < "$tmp/requests.ndjson")" || exit 2
   lines="$(printf '%s\n' "$out" | wc -l)"
-  if [ "$lines" -ne 5 ] || printf '%s' "$out" | grep -q '"ok":false'; then
+  # Lines 3 and 4 are the canned errors; every other response must succeed.
+  if [ "$lines" -ne 7 ] || printf '%s\n' "$out" | sed '3,4d' | grep -q '"ok":false'; then
     echo "serve smoke FAILED; responses:" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+  fi
+  if ! printf '%s\n' "$out" | sed -n 3p \
+      | grep -q '"ok":false,"error":{"code":"missing_field",.*"detail":"v"}'; then
+    echo "serve smoke FAILED: a request without \"v\" did not get missing_field" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+  fi
+  if ! printf '%s\n' "$out" | sed -n 4p \
+      | grep -q '"ok":false,"error":{"code":"unknown_verb",.*"detail":"frobnicate"}'; then
+    echo "serve smoke FAILED: an unknown verb did not get unknown_verb" >&2
     printf '%s\n' "$out" >&2
     exit 1
   fi
@@ -66,8 +82,9 @@ EOF
     exit 1
   fi
   # The metrics verb must return valid Prometheus exposition that reflects the
-  # checks above (two ok check requests, always-on per-stage counters).
-  metrics_line="$(printf '%s\n' "$out" | sed -n 4p)"
+  # checks above (two ok check requests, always-on per-stage counters). The
+  # unknown verb counts under "invalid", never under a label of its own.
+  metrics_line="$(printf '%s\n' "$out" | sed -n 6p)"
   if ! printf '%s\n' "$metrics_line" \
       | python3 "$(dirname "$0")/check_prom.py"; then
     echo "serve smoke FAILED: metrics exposition did not validate" >&2
@@ -78,7 +95,12 @@ EOF
     echo "serve smoke FAILED: metrics missing the check request counter" >&2
     exit 1
   fi
-  echo "serve smoke OK ($lines responses, cache hit on repeat, metrics valid)"
+  if printf '%s' "$metrics_line" | grep -q 'verb=\\"frobnicate\\"'; then
+    echo "serve smoke FAILED: metrics carry a series for the unknown verb" >&2
+    exit 1
+  fi
+  echo "serve smoke OK ($lines responses, error envelopes, cache hit on repeat," \
+    "metrics valid)"
 }
 
 if [ "${1:-}" = "--store" ]; then
