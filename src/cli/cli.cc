@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -116,16 +117,26 @@ struct LoadedInputs {
   // Files that failed to read or parse; the run continues without them and the
   // CLI signals the partial result with exit code 3.
   std::vector<SkippedFile> skipped;
-  // Per-config content keys and the chained metadata key, for --incremental
-  // baseline comparison. Skipped files deliberately have no key, so a file that
-  // parsed last run but fails now reads as "removed" and forces a relearn.
+  // Under --store-dir only: per-config content keys for the store entry, and
+  // the raw texts, since the durable store persists Parse-stage inputs, not
+  // the pointer-laden parsed artifacts. Skipped files deliberately have no
+  // key, so a file that parsed last run but fails now changes the entry and
+  // forces a relearn. Metadata texts keep document order, which changes the
+  // learn.
   std::map<std::string, uint64_t> config_keys;
-  uint64_t metadata_key = kFnv1a64OffsetBasis;
-  // Raw texts, retained only under --store-dir: the durable store persists
-  // Parse-stage inputs (texts), not the pointer-laden parsed artifacts.
   std::map<std::string, std::string> config_texts;
   std::vector<std::string> metadata_texts;
 };
+
+// Loads the --lexer definitions, when given, into `lexer`.
+bool LoadLexer(const ArgParser& args, Lexer* lexer, std::ostream& err) {
+  std::string error;
+  if (args.Has("lexer") && !lexer->LoadDefinitions(ReadFile(args.Get("lexer")), &error)) {
+    err << "error: bad lexer definition: " << error << "\n";
+    return false;
+  }
+  return true;
+}
 
 // Expands every glob given for `flag`, in order, without repeats: overlapping
 // globs must not load a file twice. The first occurrence wins; paths compare
@@ -143,14 +154,14 @@ std::vector<std::string> ExpandGlobs(const ArgParser& args, const std::string& f
   return files;
 }
 
-// Expands globs, parses configs and metadata into a dataset. A single unreadable
-// file does not abort the batch: it is recorded in inputs->skipped and the
-// surviving configs load normally. Only a load that yields *no* usable configs
-// (or a bad lexer file) fails outright. Files are read serially in input order,
-// then parsed in `parallelism` blocks (ParseConfigs); skip records keep
-// input order. The deadline is polled per file, while reading and while
-// parsing, so a huge or slow-to-read corpus cannot blow past --deadline-ms
-// before the learn/check phases ever consult it; expiry throws
+// Expands globs, parses configs and metadata into a dataset with the lexer
+// LoadLexer filled in. A single unreadable file does not abort the batch: it is
+// recorded in inputs->skipped and the surviving configs load normally. Only a
+// load that yields *no* usable configs fails outright. Files are read serially
+// in input order, then parsed in `parallelism` blocks (ParseConfigs); skip
+// records keep input order. The deadline is polled per file, while reading and
+// while parsing, so a huge or slow-to-read corpus cannot blow past
+// --deadline-ms before the learn/check phases ever consult it; expiry throws
 // DeadlineExceeded. The parse span bills to `verb`'s trace category, so
 // `check --profile` shows check/parse.
 bool LoadInputs(const ArgParser& args, std::string_view verb, bool embed_context,
@@ -159,13 +170,6 @@ bool LoadInputs(const ArgParser& args, std::string_view verb, bool embed_context
   if (!args.Has("configs")) {
     err << "error: --configs is required\n";
     return false;
-  }
-  if (args.Has("lexer")) {
-    std::string error;
-    if (!inputs->lexer.LoadDefinitions(ReadFile(args.Get("lexer")), &error)) {
-      err << "error: bad lexer definition: " << error << "\n";
-      return false;
-    }
   }
   ParseOptions options;
   options.embed_context = embed_context;
@@ -208,8 +212,8 @@ bool LoadInputs(const ArgParser& args, std::string_view verb, bool embed_context
       inputs->skipped.push_back(std::move(*skips[i]));
       continue;
     }
-    inputs->config_keys[files[i]] = ContentKey(files[i], texts[i]);
     if (args.Has("store-dir")) {
+      inputs->config_keys[files[i]] = ContentKey(files[i], texts[i]);
       inputs->config_texts[files[i]] = std::move(texts[i]);
     }
   }
@@ -234,7 +238,6 @@ bool LoadInputs(const ArgParser& args, std::string_view verb, bool embed_context
       for (ParsedLine& line : parser.ParseMetadata(text)) {
         inputs->dataset.metadata.push_back(std::move(line));
       }
-      inputs->metadata_key = Fnv1a64(text, inputs->metadata_key);
       if (args.Has("store-dir")) {
         inputs->metadata_texts.push_back(std::move(text));
       }
@@ -245,130 +248,12 @@ bool LoadInputs(const ArgParser& args, std::string_view verb, bool embed_context
   return true;
 }
 
-// State file behind `learn --incremental`: a manifest of per-config content keys
-// plus the contracts learned from them. Cross-process incrementality is
-// manifest-grained — when no input changed, the learn is skipped outright and the
-// baseline contracts are reused; when something changed, the full relearn runs
-// and the delta is reported. (`concord serve`'s learn/update verbs are the
-// artifact-grained engine that re-mines only the changed configs.)
-struct BaselineState {
-  std::map<std::string, uint64_t> config_keys;
-  uint64_t metadata_key = kFnv1a64OffsetBasis;
-  std::string options_fingerprint;
-  std::string contracts_json;
-  int64_t contract_count = 0;
-};
-
-// Learned contracts depend on thresholds and toggles as much as on inputs, so
-// the baseline records them; any mismatch forces a relearn.
-std::string LearnOptionsFingerprint(const LearnOptions& o, bool embed) {
-  std::string fp = "support=" + std::to_string(o.support);
-  fp += ";confidence=" + std::to_string(o.confidence);
-  fp += ";score=" + std::to_string(o.score_threshold);
-  fp += ";constants=" + std::to_string(o.constants);
-  fp += ";minimize=" + std::to_string(o.minimize);
-  fp += ";embed=" + std::to_string(embed);
-  fp += ";cats=";
-  for (bool b : {o.learn_present, o.learn_ordering, o.learn_type, o.learn_sequence,
-                 o.learn_unique, o.learn_relational}) {
-    fp += b ? '1' : '0';
-  }
-  return fp;
-}
-
-// Loads a baseline state file; any problem (missing, unparseable, wrong shape)
-// degrades to "no baseline", i.e. a full learn. Keys are decimal strings: JSON
-// numbers round-trip through double and would corrupt 64-bit hashes.
-std::optional<BaselineState> LoadBaseline(const std::string& path) {
-  std::string text;
-  try {
-    text = ReadFile(path);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  auto json = JsonValue::Parse(text);
-  if (!json || !json->is_object()) {
-    return std::nullopt;
-  }
-  const JsonValue* configs = json->Find("configs");
-  auto metadata_key = json->GetString("metadataKey");
-  auto options = json->GetString("options");
-  auto contracts = json->GetString("contracts");
-  if (configs == nullptr || !configs->is_object() || !metadata_key || !options ||
-      !contracts) {
-    return std::nullopt;
-  }
-  BaselineState state;
-  try {
-    state.metadata_key = std::stoull(*metadata_key);
-    for (const auto& [name, key] : configs->members()) {
-      if (!key.is_string()) {
-        return std::nullopt;
-      }
-      state.config_keys[name] = std::stoull(key.AsString());
-    }
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-  state.options_fingerprint = *options;
-  state.contracts_json = *contracts;
-  state.contract_count = json->GetInt("contractCount").value_or(0);
-  return state;
-}
-
-void SaveBaseline(const std::string& path, const LoadedInputs& inputs,
-                  const std::string& fingerprint, const std::string& contracts_json,
-                  size_t contract_count) {
-  JsonValue state = JsonValue::Object();
-  state.Set("version", JsonValue::Number(int64_t{1}));
-  state.Set("options", JsonValue::String(fingerprint));
-  state.Set("metadataKey", JsonValue::String(std::to_string(inputs.metadata_key)));
-  JsonValue configs = JsonValue::Object();
-  for (const auto& [name, key] : inputs.config_keys) {
-    configs.Set(name, JsonValue::String(std::to_string(key)));
-  }
-  state.Set("configs", std::move(configs));
-  state.Set("contractCount", JsonValue::Number(static_cast<int64_t>(contract_count)));
-  state.Set("contracts", JsonValue::String(contracts_json));
-  WriteFile(path, state.Serialize(2));
-}
-
-// Persists a CLI learn into the durable store (DESIGN.md §10), mirroring the
-// serve-side persist: Parse-stage inputs (raw texts) as content-addressed
-// blobs, the learned contract set as one object, then an atomic manifest swap.
-// Best-effort — a store failure degrades to a warning; the written contract
-// file stands and `concord serve --store-dir` simply relearns.
-void PersistLearnToStore(const std::string& store_dir, const std::string& dataset_name,
-                         const LoadedInputs& inputs, const LearnOptions& options,
-                         const std::string& serialized, size_t contract_count,
-                         bool quiet, std::ostream& out, std::ostream& err) {
-  try {
-    DurableStore store(store_dir);
-    PersistedDatasetInfo info;
-    for (const auto& [name, text] : inputs.config_texts) {
-      uint64_t key = inputs.config_keys.at(name);
-      store.PutObject(RecordType::kBlob, key, text, "config");
-      info.config_keys[name] = key;
-    }
-    for (const std::string& text : inputs.metadata_texts) {
-      uint64_t key = ContentKey("@meta", text);
-      store.PutObject(RecordType::kBlob, key, text, "metadata");
-      info.metadata_keys.push_back(key);
-    }
-    uint64_t contracts_key = Fnv1a64(serialized);
-    store.PutObject(RecordType::kContracts, contracts_key, serialized, "contracts");
-    info.contracts_key = contracts_key;
-    info.contract_count = static_cast<int64_t>(contract_count);
-    info.options = options;
-    store.PutDataset(dataset_name, info);
-    if (!quiet) {
-      out << "store: persisted dataset '" << dataset_name << "' ("
-          << store.object_count() << " objects, " << store.total_bytes()
-          << " bytes)\n";
-    }
-  } catch (const std::exception& e) {
-    err << "warning: store persist failed: " << e.what() << "\n";
-  }
+// True when two store entries record the same learn: equal inputs, options and
+// parse settings. The output (contracts key and count) is not compared.
+bool SameLearn(PersistedDatasetInfo a, const PersistedDatasetInfo& b) {
+  a.contracts_key = b.contracts_key;
+  a.contract_count = b.contract_count;
+  return DatasetInfoToJson(a).Serialize(0) == DatasetInfoToJson(b).Serialize(0);
 }
 
 int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
@@ -377,7 +262,8 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   args.AddFlag("out", "output contract file", "contracts.json");
   args.AddFlag("store-dir",
                "durable artifact store directory: persist the learned dataset for "
-               "warm serve restarts (DESIGN.md §10)");
+               "warm serve restarts, and skip the learn when its entry is "
+               "unchanged (DESIGN.md §10)");
   args.AddFlag("dataset", "dataset name in the store (with --store-dir)", "default");
   args.AddFlag("support", "minimum supporting configurations S", "5");
   args.AddFlag("confidence", "required holding fraction C", "0.96");
@@ -386,11 +272,6 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
                "1");
   args.AddFlag("disable", "disable a category: present|ordering|type|sequence|unique|relational");
   args.AddBoolFlag("no-minimize", "skip relational contract minimization (§3.6)");
-  args.AddBoolFlag("incremental",
-                   "compare inputs against --baseline and skip relearning when unchanged");
-  args.AddFlag("baseline",
-               "state file for --incremental (read when present, rewritten after learning)",
-               "concord.state.json");
   if (!args.Parse(argc, argv, 2)) {
     err << "error: " << args.error() << "\n" << args.Usage();
     return 2;
@@ -424,34 +305,48 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   }
 
   bool embed = !args.GetBool("no-embedding");
+  bool quiet = args.GetBool("quiet");
   options.deadline = DeadlineFromFlags(args);
   LoadedInputs inputs;
-  if (!LoadInputs(args, "learn", embed, options.constants, options.parallelism,
+  if (!LoadLexer(args, &inputs.lexer, err) ||
+      !LoadInputs(args, "learn", embed, options.constants, options.parallelism,
                   options.deadline, &inputs, err)) {
     return 2;
   }
 
-  bool incremental = args.GetBool("incremental");
-  std::string fingerprint = LearnOptionsFingerprint(options, embed);
-  std::optional<BaselineState> baseline;
-  if (incremental) {
-    baseline = LoadBaseline(args.Get("baseline"));
-    if (baseline && baseline->options_fingerprint == fingerprint &&
-        baseline->metadata_key == inputs.metadata_key &&
-        baseline->config_keys == inputs.config_keys) {
-      // Nothing changed since the baseline: the relearn would reproduce the
-      // baseline contracts bit for bit, so reuse them without mining.
-      WriteFile(args.Get("out"), baseline->contracts_json);
-      if (args.Has("store-dir")) {
-        PersistLearnToStore(args.Get("store-dir"), args.Get("dataset"), inputs,
-                            options, baseline->contracts_json,
-                            static_cast<size_t>(baseline->contract_count),
-                            args.GetBool("quiet"), out, err);
+  // Under --store-dir the store is the learn cache (DESIGN.md §10). The entry
+  // this learn would write names its inputs, options and parse settings; when
+  // it equals the stored one and the stored contracts read clean, mining would
+  // reproduce those bytes, so they are reused. A store failure degrades to a
+  // warning and a plain learn.
+  std::unique_ptr<DurableStore> store;
+  PersistedDatasetInfo entry;
+  if (args.Has("store-dir")) {
+    entry.config_keys = std::move(inputs.config_keys);
+    for (const std::string& text : inputs.metadata_texts) {
+      entry.metadata_keys.push_back(MetadataBlobKey(text));
+    }
+    entry.options = options;
+    entry.embed = embed;
+    entry.lexer = inputs.lexer.DefinitionsKey();
+    std::optional<PersistedDatasetInfo> stored;
+    std::optional<std::string> contracts;
+    try {
+      store = std::make_unique<DurableStore>(args.Get("store-dir"));
+      stored = store->GetDataset(args.Get("dataset"));
+      if (stored && SameLearn(entry, *stored)) {
+        contracts = store->GetObject(RecordType::kContracts, stored->contracts_key,
+                                     "contracts");
       }
-      if (!args.GetBool("quiet")) {
-        out << "incremental: " << inputs.dataset.configs.size()
-            << " config(s) unchanged since baseline; reused " << baseline->contract_count
-            << " contract(s)\n"
+    } catch (const std::exception& e) {
+      err << "warning: store read failed: " << e.what() << "\n";
+      store.reset();
+    }
+    if (contracts) {
+      WriteFile(args.Get("out"), *contracts);
+      if (!quiet) {
+        out << "store: dataset '" << args.Get("dataset") << "' unchanged; reused "
+            << stored->contract_count << " contract(s)\n"
             << "wrote " << args.Get("out") << "\n";
       }
       return inputs.skipped.empty() ? 0 : 3;
@@ -462,20 +357,33 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
   Learner learner(options);
   LearnResult result = learner.Learn(inputs.dataset);
   result.set.embed_context = embed;
+  result.set.lexer_key = inputs.lexer.DefinitionsKey();
   std::string serialized = SerializeContracts(result.set, inputs.dataset.patterns);
   WriteFile(args.Get("out"), serialized);
-  if (args.Has("store-dir")) {
-    PersistLearnToStore(args.Get("store-dir"), args.Get("dataset"), inputs, options,
-                        serialized, result.set.contracts.size(),
-                        args.GetBool("quiet"), out, err);
+  if (store != nullptr) {
+    // Best-effort, like serve's persist: the written contract file stands, and
+    // `concord serve --store-dir` relearns what the store lacks.
+    try {
+      entry.contract_count = static_cast<int64_t>(result.set.contracts.size());
+      std::vector<std::string_view> config_texts;
+      config_texts.reserve(inputs.config_texts.size());
+      for (const auto& [name, text] : inputs.config_texts) {
+        config_texts.push_back(text);
+      }
+      size_t written = 0;
+      store->PutLearnedDataset(args.Get("dataset"), std::move(entry), config_texts,
+                               inputs.metadata_texts, serialized, &written);
+      if (!quiet) {
+        out << "store: persisted dataset '" << args.Get("dataset") << "' ("
+            << store->object_count() << " objects, " << store->total_bytes()
+            << " bytes)\n";
+      }
+    } catch (const std::exception& e) {
+      err << "warning: store persist failed: " << e.what() << "\n";
+    }
   }
 
-  if (incremental) {
-    SaveBaseline(args.Get("baseline"), inputs, fingerprint, serialized,
-                 result.set.contracts.size());
-  }
-
-  if (!args.GetBool("quiet")) {
+  if (!quiet) {
     out << "configs: " << inputs.dataset.configs.size() << "\n"
         << "lines: " << inputs.dataset.TotalLines() << "\n"
         << "patterns: " << inputs.dataset.patterns.size() << "\n"
@@ -490,33 +398,6 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
       out << "minimization: " << result.relational_before_minimize << " -> "
           << result.relational_after_minimize << " relational contracts\n";
     }
-    if (incremental) {
-      if (baseline) {
-        size_t added = 0, removed = 0, modified = 0;
-        for (const auto& [name, key] : inputs.config_keys) {
-          auto it = baseline->config_keys.find(name);
-          if (it == baseline->config_keys.end()) {
-            ++added;
-          } else if (it->second != key) {
-            ++modified;
-          }
-        }
-        for (const auto& [name, key] : baseline->config_keys) {
-          if (inputs.config_keys.count(name) == 0) {
-            ++removed;
-          }
-        }
-        out << "incremental: relearned after delta vs baseline (" << added
-            << " added, " << removed << " removed, " << modified << " modified"
-            << (baseline->metadata_key != inputs.metadata_key ? ", metadata changed"
-                                                              : "")
-            << (baseline->options_fingerprint != fingerprint ? ", options changed" : "")
-            << ")\n";
-      } else {
-        out << "incremental: no usable baseline; full learn, baseline written\n";
-      }
-      out << "baseline: " << args.Get("baseline") << "\n";
-    }
     if (!inputs.skipped.empty()) {
       out << "degraded: " << inputs.skipped.size() << " input file(s) skipped\n";
       for (const SkippedFile& s : inputs.skipped) {
@@ -527,6 +408,66 @@ int RunLearn(int argc, const char* const* argv, std::ostream& out, std::ostream&
         << "wrote " << args.Get("out") << "\n";
   }
   return inputs.skipped.empty() ? 0 : 3;
+}
+
+// The contract set check and analyze run against, with the parse settings it
+// was learned with, which the configs must be parsed with too.
+struct ContractSource {
+  std::string text;
+  bool embed = true;
+  bool constants = false;
+};
+
+// Reads the persisted set of --dataset under --store-dir, else the --contracts
+// file, and previews it for its parse settings; a damaged store surfaces as
+// store_corrupt, never a crash or a silent pass. When configs will be lexed
+// with `lexer` (null when none are), a set learned with other lexer
+// definitions is refused: its patterns would not match what this lexer makes
+// of the configs. Prints the error and returns false (exit 2) on failure.
+bool ReadContractSource(const ArgParser& args, const Lexer* lexer, ContractSource* source,
+                        std::ostream& err) {
+  if (args.Has("store-dir")) {
+    DurableStore store(args.Get("store-dir"));
+    auto info = store.GetDataset(args.Get("dataset"));
+    if (!info || info->contracts_key == 0) {
+      err << "error: store has no contracts for dataset '" << args.Get("dataset")
+          << "' in " << args.Get("store-dir") << "\n";
+      return false;
+    }
+    bool corrupt = false;
+    auto payload =
+        store.GetObject(RecordType::kContracts, info->contracts_key, "contracts", &corrupt);
+    if (!payload) {
+      err << "error: store_corrupt: persisted contract set for dataset '"
+          << args.Get("dataset") << "' is " << (corrupt ? "corrupt" : "missing")
+          << "; relearn with `concord learn --store-dir`\n";
+      return false;
+    }
+    source->text = std::move(*payload);
+  } else {
+    source->text = ReadFile(args.Get("contracts"));
+  }
+  PatternTable scratch;
+  std::string error;
+  auto preview = ParseContracts(source->text, &scratch, &error);
+  if (!preview) {
+    err << "error: cannot parse contracts: " << error << "\n";
+    return false;
+  }
+  const uint64_t lexer_key = lexer != nullptr ? lexer->DefinitionsKey() : preview->lexer_key;
+  if (preview->lexer_key != lexer_key) {
+    auto describe = [](uint64_t key) {
+      return key == 0 ? std::string("the built-in lexer")
+                      : "lexer definitions " + std::to_string(key);
+    };
+    err << "error: lexer mismatch: the contract set was learned with "
+        << describe(preview->lexer_key) << ", but this run lexes with "
+        << describe(lexer_key) << "; pass the --lexer file the set was learned with\n";
+    return false;
+  }
+  source->embed = preview->embed_context && !args.GetBool("no-embedding");
+  source->constants = preview->constants_mode || args.GetBool("constants");
+  return true;
 }
 
 int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream& err) {
@@ -554,60 +495,18 @@ int RunCheck(int argc, const char* const* argv, std::ostream& out, std::ostream&
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
 
-  std::string contracts_text;
-  if (args.Has("store-dir")) {
-    // The persisted learn output stands in for the contract file; a damaged
-    // store surfaces as store_corrupt, never a crash or a silent pass.
-    try {
-      DurableStore store(args.Get("store-dir"));
-      auto info = store.GetDataset(args.Get("dataset"));
-      if (!info || info->contracts_key == 0) {
-        err << "error: store has no contracts for dataset '" << args.Get("dataset")
-            << "' in " << args.Get("store-dir") << "\n";
-        return 2;
-      }
-      bool corrupt = false;
-      auto payload = store.GetObject(RecordType::kContracts, info->contracts_key,
-                                     "contracts", &corrupt);
-      if (!payload) {
-        err << "error: store_corrupt: persisted contract set for dataset '"
-            << args.Get("dataset") << "' is "
-            << (corrupt ? "corrupt" : "missing")
-            << "; relearn with `concord learn --store-dir`\n";
-        return 2;
-      }
-      contracts_text = std::move(*payload);
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  } else {
-    try {
-      contracts_text = ReadFile(args.Get("contracts"));
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
   LoadedInputs inputs;
-  // Parse contracts first so the set's recorded parse options drive config parsing.
-  PatternTable scratch;
-  std::string error;
-  auto preview = ParseContracts(contracts_text, &scratch, &error);
-  if (!preview) {
-    err << "error: cannot parse contracts: " << error << "\n";
-    return 2;
-  }
-  bool embed = preview->embed_context && !args.GetBool("no-embedding");
-  bool constants = preview->constants_mode || args.GetBool("constants");
+  ContractSource contracts;
   Deadline deadline = DeadlineFromFlags(args);
   int parallelism = static_cast<int>(args.GetInt("parallelism").value_or(1));
-  if (!LoadInputs(args, "check", embed, constants, parallelism, deadline, &inputs,
-                  err)) {
+  if (!LoadLexer(args, &inputs.lexer, err) ||
+      !ReadContractSource(args, &inputs.lexer, &contracts, err) ||
+      !LoadInputs(args, "check", contracts.embed, contracts.constants, parallelism,
+                  deadline, &inputs, err)) {
     return 2;
   }
-  auto set = ParseContracts(contracts_text, &inputs.dataset.patterns, &error);
+  std::string error;
+  auto set = ParseContracts(contracts.text, &inputs.dataset.patterns, &error);
   if (!set) {
     err << "error: cannot parse contracts: " << error << "\n";
     return 2;
@@ -705,64 +604,29 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
   }
   ProfileSession profile(args.GetBool("profile"), args.Get("trace-out"), &out, &err);
 
-  std::string contracts_text;
-  if (args.Has("store-dir")) {
-    try {
-      DurableStore store(args.Get("store-dir"));
-      auto info = store.GetDataset(args.Get("dataset"));
-      if (!info || info->contracts_key == 0) {
-        err << "error: store has no contracts for dataset '" << args.Get("dataset")
-            << "' in " << args.Get("store-dir") << "\n";
-        return 2;
-      }
-      bool corrupt = false;
-      auto payload = store.GetObject(RecordType::kContracts, info->contracts_key,
-                                     "contracts", &corrupt);
-      if (!payload) {
-        err << "error: store_corrupt: persisted contract set for dataset '"
-            << args.Get("dataset") << "' is "
-            << (corrupt ? "corrupt" : "missing")
-            << "; relearn with `concord learn --store-dir`\n";
-        return 2;
-      }
-      contracts_text = std::move(*payload);
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  } else {
-    try {
-      contracts_text = ReadFile(args.Get("contracts"));
-    } catch (const std::exception& e) {
-      err << "error: " << e.what() << "\n";
-      return 2;
-    }
-  }
-
+  // The set's recorded parse options drive config parsing, as in RunCheck, so
+  // the postings the dead-pattern pass sees match what checking would see.
+  // Without configs the analyzer runs set-only and nothing is lexed.
   LoadedInputs inputs;
-  std::string error;
+  ContractSource contracts;
   Deadline deadline = DeadlineFromFlags(args);
-  bool partial = false;
+  const bool with_configs = args.Has("configs");
+  if ((with_configs && !LoadLexer(args, &inputs.lexer, err)) ||
+      !ReadContractSource(args, with_configs ? &inputs.lexer : nullptr, &contracts,
+                          err)) {
+    return 2;
+  }
   std::vector<ConfigIndex> built;
-  if (args.Has("configs")) {
-    // As in RunCheck, the set's recorded parse options drive config parsing so
-    // the postings the dead-pattern pass sees match what checking would see.
-    PatternTable scratch;
-    auto preview = ParseContracts(contracts_text, &scratch, &error);
-    if (!preview) {
-      err << "error: cannot parse contracts: " << error << "\n";
+  if (with_configs) {
+    if (!LoadInputs(args, "analyze", contracts.embed, contracts.constants,
+                    /*parallelism=*/1, deadline, &inputs, err)) {
       return 2;
     }
-    bool embed = preview->embed_context && !args.GetBool("no-embedding");
-    bool constants = preview->constants_mode || args.GetBool("constants");
-    if (!LoadInputs(args, "analyze", embed, constants, /*parallelism=*/1, deadline,
-                    &inputs, err)) {
-      return 2;
-    }
-    partial = !inputs.skipped.empty();
     built = BuildIndexes(inputs.dataset, &deadline);
   }
-  auto set = ParseContracts(contracts_text, &inputs.dataset.patterns, &error);
+  const bool partial = !inputs.skipped.empty();
+  std::string error;
+  auto set = ParseContracts(contracts.text, &inputs.dataset.patterns, &error);
   if (!set) {
     err << "error: cannot parse contracts: " << error << "\n";
     return 2;
@@ -779,7 +643,7 @@ int RunAnalyze(int argc, const char* const* argv, std::ostream& out, std::ostrea
     index_ptrs.push_back(&index);
   }
   AnalysisResult analysis =
-      args.Has("configs")
+      with_configs
           ? AnalyzeContracts(*set, inputs.dataset.patterns, index_ptrs, options)
           : AnalyzeContracts(*set, inputs.dataset.patterns, options);
 

@@ -97,6 +97,8 @@ struct ContractSet {
   std::vector<Contract> contracts;
   bool constants_mode = false;
   bool embed_context = true;
+  // Lexer::DefinitionsKey of the lexer the set was learned with; 0 = built-in.
+  uint64_t lexer_key = 0;
 
   size_t CountKind(ContractKind kind) const;
 };

@@ -1,5 +1,7 @@
 #include "src/contracts/contract_io.h"
 
+#include <charconv>
+
 #include "src/format/json.h"
 #include "src/util/strings.h"
 
@@ -96,6 +98,10 @@ std::string SerializeContracts(const ContractSet& set, const PatternTable& table
   root.Set("version", JsonValue::Number(int64_t{1}));
   root.Set("constantsMode", JsonValue::Bool(set.constants_mode));
   root.Set("embedContext", JsonValue::Bool(set.embed_context));
+  if (set.lexer_key != 0) {
+    // A decimal string: a JSON number round-trips through double.
+    root.Set("lexerKey", JsonValue::String(std::to_string(set.lexer_key)));
+  }
   JsonValue contracts = JsonValue::Array();
   for (const Contract& c : set.contracts) {
     JsonValue item = JsonValue::Object();
@@ -157,6 +163,13 @@ std::optional<ContractSet> ParseContracts(const std::string& json, PatternTable*
   ContractSet set;
   set.constants_mode = root->GetBool("constantsMode").value_or(false);
   set.embed_context = root->GetBool("embedContext").value_or(true);
+  if (const JsonValue* lexer = root->Find("lexerKey")) {
+    std::string_view text = lexer->is_string() ? std::string_view(lexer->AsString()) : "";
+    auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), set.lexer_key);
+    if (text.empty() || ec != std::errc() || end != text.data() + text.size()) {
+      return fail("'lexerKey' must be a decimal string");
+    }
+  }
   const JsonValue* contracts = root->Find("contracts");
   if (contracts == nullptr || !contracts->is_array()) {
     return fail("missing 'contracts' array");

@@ -77,7 +77,7 @@ void ArtifactStore::SetMetadata(const std::vector<std::string>& texts) {
   }
 }
 
-void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
+void ArtifactStore::Refresh(const LearnOptions& options) {
   ThrowIfExpired(options.deadline);
   const uint8_t needed = SummaryCategoriesFor(options);
 
@@ -106,9 +106,8 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
   }
 
   // Stale configs are independent; shard them. Deadline expiry is flagged, not
-  // thrown, inside tasks (the service shares one pool across requests) and
-  // re-raised afterwards. Artifacts finished before expiry stay cached, so a
-  // retry only faces the remainder.
+  // thrown, inside pool tasks and re-raised afterwards. Artifacts finished
+  // before expiry stay cached, so a retry only faces the remainder.
   std::atomic<bool> deadline_hit{false};
   // Stage attribution happens per task: index/mine work interleaves inside each
   // worker, so the totals are accumulated out-of-band and folded into the
@@ -156,11 +155,9 @@ void ArtifactStore::Refresh(const LearnOptions& options, ThreadPool* pool) {
     for (size_t wi = 0; wi < stale.size(); ++wi) {
       refresh_one(wi);
     }
-  } else if (pool != nullptr) {
-    pool->ParallelFor(stale.size(), refresh_one);
   } else {
-    ThreadPool local(static_cast<size_t>(std::max(0, options.parallelism)));
-    local.ParallelFor(stale.size(), refresh_one);
+    ThreadPool pool(static_cast<size_t>(std::max(0, options.parallelism)));
+    pool.ParallelFor(stale.size(), refresh_one);
   }
   if (trace_on) {
     tracer.AddStageTime("learn", "index",

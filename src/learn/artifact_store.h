@@ -1,6 +1,6 @@
 // Content-addressed, per-configuration artifact store — the incremental engine
-// behind `Learner::Learn(ArtifactStore&)`, the serve `learn`/`update` verbs, and
-// `concord learn --incremental` (see DESIGN.md "Artifact pipeline").
+// behind `Learner::Learn(ArtifactStore&)` and the serve `learn`/`update` verbs
+// (see DESIGN.md "Artifact pipeline").
 //
 // Each resident configuration carries three staged artifacts:
 //
@@ -38,8 +38,6 @@
 #include "src/pattern/parser.h"
 
 namespace concord {
-
-class ThreadPool;
 
 // Stage-level cache accounting. A Refresh() counts one hit or one miss per
 // resident config per stage; Upsert counts a parse hit (unchanged text) or miss
@@ -83,15 +81,16 @@ class ArtifactStore {
   void SetMetadata(const std::vector<std::string>& texts);
 
   // Brings every Index and Mine artifact up to date for the categories
-  // `options` enables, sharding stale configs across `pool` (or an internal
-  // pool per `options.parallelism`; 1 = serial). Counts one hit/miss per
+  // `options` enables, sharding stale configs across a pool of
+  // `options.parallelism` threads (1 = serial). Counts one hit/miss per
   // config per stage. Raises DeadlineExceeded on `options.deadline` expiry,
   // leaving refreshed artifacts cached (a retry resumes where it stopped).
-  void Refresh(const LearnOptions& options, ThreadPool* pool = nullptr);
+  void Refresh(const LearnOptions& options);
 
   // ---- Read side (valid after Refresh; name-sorted, so deterministic). ----
 
   size_t size() const { return entries_.size(); }
+  const ParseOptions& parse_options() const { return parse_options_; }
   const PatternTable& patterns() const { return table_; }
   PatternTable* mutable_patterns() { return &table_; }
   const std::vector<ParsedLine>& metadata() const { return metadata_; }

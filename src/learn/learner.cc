@@ -5,7 +5,6 @@
 
 #include "src/learn/artifact_store.h"
 #include "src/learn/index.h"
-#include "src/learn/miners.h"
 #include "src/learn/relational.h"
 #include "src/learn/summaries.h"
 #include "src/minimize/minimize.h"
@@ -44,7 +43,7 @@ std::vector<Contract> AggregateAll(const std::vector<const ConfigSummary*>& summ
     append(AggregateUnique(summaries, config_counts, options));
   }
   if (options.learn_relational) {
-    append(AggregateRelational(summaries, config_counts, options, nullptr));
+    append(AggregateRelational(summaries, config_counts, options));
   }
   return all;
 }

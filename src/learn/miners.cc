@@ -1,10 +1,11 @@
-#include "src/learn/miners.h"
+// Per-config summaries and dataset aggregates for every contract category
+// (src/learn/summaries.h); relational mining lives in src/learn/relational.cc.
+#include "src/learn/summaries.h"
 
 #include <algorithm>
 #include <map>
 
 #include "src/learn/relational.h"
-#include "src/learn/summaries.h"
 #include "src/util/cancellation.h"
 #include "src/util/flat_map.h"
 
@@ -473,80 +474,6 @@ std::vector<Contract> AggregateUnique(const std::vector<const ConfigSummary*>& s
     out.push_back(std::move(c));
   }
   return out;
-}
-
-// ---- Batch facades: summarize every config, then aggregate. ----
-
-namespace {
-
-std::vector<ConfigSummary> SummarizeAll(const Dataset& dataset,
-                                        const std::vector<ConfigIndex>& indexes,
-                                        uint8_t categories, const LearnOptions& options) {
-  std::vector<ConfigSummary> summaries(indexes.size());
-  for (size_t i = 0; i < indexes.size(); ++i) {
-    if (!SummarizeConfig(dataset.patterns, indexes[i], categories, options.deadline,
-                         &summaries[i])) {
-      throw DeadlineExceeded();
-    }
-  }
-  return summaries;
-}
-
-std::vector<const ConfigSummary*> Views(const std::vector<ConfigSummary>& summaries) {
-  std::vector<const ConfigSummary*> views;
-  views.reserve(summaries.size());
-  for (const ConfigSummary& summary : summaries) {
-    views.push_back(&summary);
-  }
-  return views;
-}
-
-}  // namespace
-
-std::vector<Contract> MinePresent(const Dataset& dataset, const std::vector<ConfigIndex>& indexes,
-                                  const LearnOptions& options) {
-  if (indexes.empty()) {
-    return {};
-  }
-  std::vector<ConfigSummary> summaries = SummarizeAll(dataset, indexes, 0, options);
-  return AggregatePresent(
-      CountConfigsFromSummaries(dataset.patterns.size(), Views(summaries)), indexes.size(),
-      options);
-}
-
-std::vector<Contract> MineOrdering(const Dataset& dataset, const std::vector<ConfigIndex>& indexes,
-                                   const LearnOptions& options) {
-  if (indexes.empty()) {
-    return {};
-  }
-  std::vector<ConfigSummary> summaries =
-      SummarizeAll(dataset, indexes, kSummaryOrdering, options);
-  std::vector<const ConfigSummary*> views = Views(summaries);
-  return AggregateOrdering(
-      views, CountConfigsFromSummaries(dataset.patterns.size(), views), options);
-}
-
-std::vector<Contract> MineType(const Dataset& dataset, const std::vector<ConfigIndex>& indexes,
-                               const LearnOptions& options) {
-  std::vector<ConfigSummary> summaries = SummarizeAll(dataset, indexes, kSummaryType, options);
-  TypeCountsMap metadata_types = SummarizeMetadataTypes(dataset.patterns, dataset.metadata);
-  return AggregateType(Views(summaries), &metadata_types, options);
-}
-
-std::vector<Contract> MineSequence(const Dataset& dataset, const std::vector<ConfigIndex>& indexes,
-                                   const LearnOptions& options) {
-  std::vector<ConfigSummary> summaries =
-      SummarizeAll(dataset, indexes, kSummarySequence, options);
-  return AggregateSequence(Views(summaries), options);
-}
-
-std::vector<Contract> MineUnique(const Dataset& dataset, const std::vector<ConfigIndex>& indexes,
-                                 const LearnOptions& options) {
-  std::vector<ConfigSummary> summaries =
-      SummarizeAll(dataset, indexes, kSummaryUnique, options);
-  std::vector<const ConfigSummary*> views = Views(summaries);
-  return AggregateUnique(
-      views, CountConfigsFromSummaries(dataset.patterns.size(), views), options);
 }
 
 }  // namespace concord

@@ -1,13 +1,10 @@
 #include "src/learn/relational.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string_view>
-#include <thread>
 
 #include "src/util/cancellation.h"
 #include "src/util/flat_map.h"
-#include "src/util/thread_pool.h"
 #include "src/util/trace.h"
 
 #include "src/relations/affix_trie.h"
@@ -207,7 +204,6 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
       state.last_witness = witness;
       keep_witness(id, witness, score);
     }
-    ++out->match_events;
   };
 
   for (uint32_t li = 0; li < num_lines; ++li) {
@@ -333,8 +329,7 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
 
 std::vector<Contract> AggregateRelational(
     const std::vector<const ConfigSummary*>& summaries,
-    const std::vector<uint32_t>& config_counts, const LearnOptions& options,
-    RelationalMiningStats* stats) {
+    const std::vector<uint32_t>& config_counts, const LearnOptions& options) {
   // Nested inside the learner's Aggregate span: relational aggregation is the
   // one sub-stage heavy enough to deserve its own line in a profile.
   TraceSpan span("learn", "relational");
@@ -344,9 +339,7 @@ std::vector<Contract> AggregateRelational(
   std::vector<RelationalKey> keys;
   std::vector<uint32_t> holds;
   std::vector<uint32_t> merged;  // Global id of every summary candidate, in order.
-  size_t match_events = 0;
   for (const ConfigSummary* summary : summaries) {
-    match_events += summary->relational.match_events;
     for (const RelationalCandidate& cand : summary->relational.candidates) {
       auto [slot, inserted] = ids.TryEmplace(cand.key, static_cast<uint32_t>(keys.size()));
       const uint32_t id = *slot;
@@ -360,11 +353,6 @@ std::vector<Contract> AggregateRelational(
       merged.push_back(id);
     }
   }
-  if (stats != nullptr) {
-    stats->candidate_keys = keys.size();
-    stats->match_events = match_events;
-  }
-
   // ---- Support and confidence first: only survivors need a diversity score. ----
   std::vector<uint32_t> survivors;
   std::vector<uint32_t> survivor_of(keys.size(), kNone);
@@ -467,64 +455,6 @@ std::vector<Contract> AggregateRelational(
     out.push_back(std::move(c));
   }
   return out;
-}
-
-std::vector<Contract> MineRelational(const Dataset& dataset,
-                                     const std::vector<ConfigIndex>& indexes,
-                                     const LearnOptions& options) {
-  return MineRelationalWithStats(dataset, indexes, options, nullptr);
-}
-
-std::vector<Contract> MineRelationalWithStats(const Dataset& dataset,
-                                              const std::vector<ConfigIndex>& indexes,
-                                              const LearnOptions& options,
-                                              RelationalMiningStats* stats) {
-  std::vector<uint32_t> config_counts = CountConfigsPerPattern(dataset, indexes);
-
-  // Configurations are summarized independently; with parallelism requested, the
-  // per-config summaries shard across a pool and merge in configuration order, so
-  // the parallel result is identical to the serial one.
-  //
-  // Deadline expiry is flagged, not thrown, inside workers; the calling thread
-  // re-raises after the parallel section so partially merged state never escapes.
-  std::vector<ConfigSummary> summaries(indexes.size());
-  std::atomic<bool> deadline_hit{false};
-  auto summarize = [&](size_t ci) {
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return;
-    }
-    if (!SummarizeRelationalConfig(dataset.patterns, indexes[ci], &config_counts,
-                                   options.support, options.deadline,
-                                   &summaries[ci].relational)) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-    }
-  };
-
-  size_t workers = 1;
-  if (options.parallelism != 1 && indexes.size() > 1) {
-    workers = options.parallelism <= 0
-                  ? std::max<size_t>(1, std::thread::hardware_concurrency())
-                  : static_cast<size_t>(options.parallelism);
-    workers = std::min(workers, indexes.size());
-  }
-  if (workers <= 1) {
-    for (size_t ci = 0; ci < indexes.size(); ++ci) {
-      summarize(ci);
-    }
-  } else {
-    ThreadPool pool(workers);
-    pool.ParallelFor(indexes.size(), summarize);
-  }
-  if (deadline_hit.load(std::memory_order_relaxed)) {
-    throw DeadlineExceeded();
-  }
-
-  std::vector<const ConfigSummary*> views;
-  views.reserve(summaries.size());
-  for (const ConfigSummary& summary : summaries) {
-    views.push_back(&summary);
-  }
-  return AggregateRelational(views, config_counts, options, stats);
 }
 
 }  // namespace concord

@@ -39,22 +39,6 @@
 
 namespace concord {
 
-std::vector<Contract> MineRelational(const Dataset& dataset,
-                                     const std::vector<ConfigIndex>& indexes,
-                                     const LearnOptions& options);
-
-// Statistics used by the §5.2 optimization ablation: how many candidate keys were
-// examined (exposed for benchmarks; learning itself only needs the contracts).
-struct RelationalMiningStats {
-  size_t candidate_keys = 0;
-  size_t match_events = 0;
-};
-
-std::vector<Contract> MineRelationalWithStats(const Dataset& dataset,
-                                              const std::vector<ConfigIndex>& indexes,
-                                              const LearnOptions& options,
-                                              RelationalMiningStats* stats);
-
 // The per-config half of relational mining: passes 1 and 2 over one configuration,
 // recording candidate evidence in `out`. When `support_filter` is non-null, marks
 // whose forall-side pattern falls below `support` in it are skipped — the batch
@@ -70,8 +54,7 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
 // and the informativeness score threshold, and emits the relational contracts.
 std::vector<Contract> AggregateRelational(
     const std::vector<const ConfigSummary*>& summaries,
-    const std::vector<uint32_t>& config_counts, const LearnOptions& options,
-    RelationalMiningStats* stats);
+    const std::vector<uint32_t>& config_counts, const LearnOptions& options);
 
 }  // namespace concord
 

@@ -84,7 +84,6 @@ struct RelationalConfigSummary {
   std::vector<RelationalWitness> witnesses;
   std::string witness_text;               // Witness texts, concatenated.
   std::vector<uint32_t> witness_offsets;  // Text i is [offsets[i], offsets[i + 1]).
-  size_t match_events = 0;  // Marks recorded (the §5.2 ablation statistic).
 
   size_t num_witness_texts() const {
     return witness_offsets.empty() ? 0 : witness_offsets.size() - 1;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/pattern/pattern_table.h"
+#include "src/util/hash.h"
 #include "src/util/io.h"
 #include "src/util/strings.h"
 
@@ -234,6 +235,18 @@ bool Lexer::LoadDefinitions(const std::string& text, std::string* error) {
     }
   }
   return true;
+}
+
+uint64_t Lexer::DefinitionsKey() const {
+  if (custom_.empty()) {
+    return 0;
+  }
+  uint64_t key = kFnv1a64OffsetBasis;
+  for (const CustomToken& token : custom_) {
+    // ContentKey separates name from regex unambiguously; chaining keeps order.
+    key = MixKeys(key, ContentKey(token.name, token.regex.pattern()));
+  }
+  return key;
 }
 
 std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t pos,

@@ -13,6 +13,7 @@
 #ifndef SRC_PATTERN_LEXER_H_
 #define SRC_PATTERN_LEXER_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,6 +49,12 @@ class Lexer {
   LineLex Lex(std::string_view text) const;
 
   size_t num_custom_tokens() const { return custom_.size(); }
+
+  // Identity of the user tokens: FNV-1a over each token's name and regex, in
+  // registration order, so comments and spacing in a definition file do not
+  // count. 0 for the built-in lexer. Contract files and store entries record
+  // it, since the patterns a lexer makes depend on its tokens.
+  uint64_t DefinitionsKey() const;
 
  private:
   struct CustomToken {

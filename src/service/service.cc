@@ -1003,6 +1003,8 @@ JsonValue Service::RelearnAndInstall(const std::string& name, ResidentDataset& d
                                      std::vector<SkippedFile> degraded) {
   Learner learner(dataset.options);
   LearnResult result = learner.Learn(dataset.store);
+  result.set.embed_context = dataset.store.parse_options().embed_context;
+  result.set.lexer_key = lexer_.DefinitionsKey();
   const PatternTable& table = dataset.store.patterns();
 
   std::string serialized = SerializeContracts(result.set, table);
@@ -1082,34 +1084,24 @@ JsonValue Service::PersistDataset(const std::string& name, ResidentDataset& data
   JsonValue out = JsonValue::Object();
   size_t written = 0;
   try {
-    PersistedDatasetInfo info;
+    PersistedDatasetInfo entry;
+    std::vector<std::string_view> config_texts;
     for (const std::string& config : dataset.store.names()) {
-      const std::string* text = dataset.store.TextOf(config);
-      if (text == nullptr) {
-        continue;
+      if (const std::string* text = dataset.store.TextOf(config)) {
+        entry.config_keys[config] = dataset.store.ContentKeyOf(config);
+        config_texts.push_back(*text);
       }
-      uint64_t key = dataset.store.ContentKeyOf(config);
-      if (durable_->PutObject(RecordType::kBlob, key, *text, "config")) {
-        ++written;
-      }
-      info.config_keys[config] = key;
     }
     for (const std::string& text : dataset.store.metadata_texts()) {
-      uint64_t key = ContentKey("@meta", text);
-      if (durable_->PutObject(RecordType::kBlob, key, text, "metadata")) {
-        ++written;
-      }
-      info.metadata_keys.push_back(key);
+      entry.metadata_keys.push_back(MetadataBlobKey(text));
     }
-    uint64_t contracts_key = Fnv1a64(serialized_contracts);
-    if (durable_->PutObject(RecordType::kContracts, contracts_key,
-                            serialized_contracts, "contracts")) {
-      ++written;
-    }
-    info.contracts_key = contracts_key;
-    info.contract_count = ToInt64(dataset.contracts.contracts.size());
-    info.options = dataset.options;
-    durable_->PutDataset(name, info);
+    entry.contract_count = ToInt64(dataset.contracts.contracts.size());
+    entry.options = dataset.options;
+    entry.embed = dataset.contracts.embed_context;
+    entry.lexer = dataset.contracts.lexer_key;
+    durable_->PutLearnedDataset(name, std::move(entry), config_texts,
+                                dataset.store.metadata_texts(), serialized_contracts,
+                                &written);
     out.Set("persisted", JsonValue::Bool(true));
     out.Set("objects_written", JsonValue::Number(ToInt64(written)));
   } catch (const std::exception& e) {
@@ -1130,6 +1122,7 @@ std::shared_ptr<Service::ResidentDataset> Service::HydrateDataset(
   }
   ParseOptions parse_options;
   parse_options.constants = info->options.constants;
+  parse_options.embed_context = info->embed;
   auto dataset = std::make_shared<ResidentDataset>(&lexer_, parse_options);
   MutexLock lock(dataset->mu);
   dataset->options = info->options;

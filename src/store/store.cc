@@ -53,9 +53,8 @@ std::optional<uint64_t> ParseDecimalKey(const JsonValue& v) {
   }
 }
 
-// Category toggles as a fixed-order bit string, mirroring the CLI baseline's
-// options fingerprint (order: present, ordering, type, sequence, unique,
-// relational).
+// Category toggles as a fixed-order bit string (order: present, ordering,
+// type, sequence, unique, relational).
 std::string CategoriesString(const LearnOptions& o) {
   std::string s;
   for (bool b : {o.learn_present, o.learn_ordering, o.learn_type,
@@ -66,6 +65,8 @@ std::string CategoriesString(const LearnOptions& o) {
 }
 
 }  // namespace
+
+uint64_t MetadataBlobKey(std::string_view text) { return ContentKey("@meta", text); }
 
 JsonValue DatasetInfoToJson(const PersistedDatasetInfo& info) {
   JsonValue out = JsonValue::Object();
@@ -89,6 +90,12 @@ JsonValue DatasetInfoToJson(const PersistedDatasetInfo& info) {
   options.Set("constants", JsonValue::Bool(info.options.constants));
   options.Set("categories", JsonValue::String(CategoriesString(info.options)));
   out.Set("options", std::move(options));
+  if (!info.embed) {
+    out.Set("embed", JsonValue::Bool(false));
+  }
+  if (info.lexer != 0) {
+    out.Set("lexer", JsonValue::String(DecimalKey(info.lexer)));
+  }
   return out;
 }
 
@@ -153,6 +160,14 @@ std::optional<PersistedDatasetInfo> DatasetInfoFromJson(const JsonValue& json) {
     info.options.learn_sequence = s[3] == '1';
     info.options.learn_unique = s[4] == '1';
     info.options.learn_relational = s[5] == '1';
+  }
+  info.embed = json.GetBool("embed").value_or(true);
+  if (const JsonValue* lexer = json.Find("lexer")) {
+    auto parsed = ParseDecimalKey(*lexer);
+    if (!parsed) {
+      return std::nullopt;
+    }
+    info.lexer = *parsed;
   }
   return info;
 }
@@ -255,13 +270,24 @@ bool DurableStore::PutObject(RecordType type, uint64_t key,
                              std::string_view payload, std::string_view stage) {
   std::string path = ObjectPath(key);
   std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    return false;  // Content-addressed: same key, same bytes.
+  const uintmax_t old_bytes = std::filesystem::file_size(path, ec);
+  const bool exists = !ec;
+  if (exists) {
+    // Content-addressed: same key, same bytes, unless a read found them
+    // damaged. Erasing claims the repair, so one concurrent put makes it.
+    MutexLock lock(mu_);
+    if (corrupt_keys_.erase(key) == 0) {
+      return false;
+    }
   }
   WriteRecordFile(path, type, payload);
   MutexLock lock(mu_);
   (void)CounterFor(stage);  // Materialize the stage row even if never read.
-  ++object_count_;
+  if (exists) {
+    total_bytes_ -= old_bytes;
+  } else {
+    ++object_count_;
+  }
   total_bytes_ += kRecordHeaderBytes + payload.size() + kRecordTrailerBytes;
   return true;
 }
@@ -292,6 +318,7 @@ std::optional<std::string> DurableStore::GetObject(RecordType type, uint64_t key
     }
     MutexLock lock(mu_);
     ++CounterFor(stage).corrupt;
+    corrupt_keys_.insert(key);
     return std::nullopt;
   }
 }
@@ -321,6 +348,28 @@ void DurableStore::PutDataset(const std::string& name,
   MutexLock lock(mu_);
   datasets_[name] = info;
   SaveManifestLocked();
+}
+
+void DurableStore::PutLearnedDataset(const std::string& name, PersistedDatasetInfo entry,
+                                     const std::vector<std::string_view>& config_texts,
+                                     const std::vector<std::string>& metadata_texts,
+                                     std::string_view contracts, size_t* written) {
+  auto put = [&](RecordType type, uint64_t key, std::string_view payload,
+                 std::string_view stage) {
+    if (PutObject(type, key, payload, stage)) {
+      ++*written;
+    }
+  };
+  auto config_text = config_texts.begin();
+  for (const auto& [config, key] : entry.config_keys) {
+    put(RecordType::kBlob, key, *config_text++, "config");
+  }
+  for (size_t i = 0; i < metadata_texts.size(); ++i) {
+    put(RecordType::kBlob, entry.metadata_keys[i], metadata_texts[i], "metadata");
+  }
+  entry.contracts_key = Fnv1a64(contracts);
+  put(RecordType::kContracts, entry.contracts_key, contracts, "contracts");
+  PutDataset(name, entry);
 }
 
 bool DurableStore::RemoveDataset(const std::string& name) {

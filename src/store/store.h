@@ -11,9 +11,10 @@
 // Objects are keyed by the same FNV-1a 64 content keys the in-memory artifact
 // pipeline already uses as identities: a config blob by ContentKey(name, text),
 // a serialized contract set by Fnv1a64 of its bytes. Content addressing makes
-// writes idempotent (an object that exists is never rewritten) and makes the
-// manifest swap the single linearization point: a crash mid-persist leaves at
-// worst unreferenced objects, which `concord store gc` reclaims.
+// writes idempotent (an object that exists is rewritten only to repair one a
+// read found corrupt) and makes the manifest swap the single linearization
+// point: a crash mid-persist leaves at worst unreferenced objects, which
+// `concord store gc` reclaims.
 //
 // What persists, per dataset (see PersistedDatasetInfo):
 //   Parse stage   config and metadata texts as blobs. Parsing is deterministic,
@@ -37,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,7 +76,15 @@ struct PersistedDatasetInfo {
   // with exactly these for bit-identity. Deadline/parallelism are runtime-only
   // and not persisted.
   LearnOptions options;
+  // The parse settings the configs were read with, which change the learned
+  // bytes as much as the options do. The manifest records each only when it is
+  // not the default, so entries written without them keep their bytes.
+  bool embed = true;   // Context embedding (§3.1); false under --no-embedding.
+  uint64_t lexer = 0;  // Lexer::DefinitionsKey; 0 = the built-in lexer.
 };
+
+// Content key of a metadata blob.
+uint64_t MetadataBlobKey(std::string_view text);
 
 class DurableStore {
  public:
@@ -91,7 +101,9 @@ class DurableStore {
   // ---- Objects. ----
 
   // Writes the object unless it already exists (content addressing makes the
-  // existing bytes equal by construction). Returns true when a file was
+  // existing bytes equal by construction). An existing object that read back
+  // corrupt through this store is rewritten, so relearning its bytes repairs
+  // it; a healthy put costs one stat either way. Returns true when a file was
   // written. `stage` labels the counters ("config", "metadata", "contracts").
   bool PutObject(RecordType type, uint64_t key, std::string_view payload,
                  std::string_view stage);
@@ -117,6 +129,17 @@ class DurableStore {
 
   // Installs/replaces a dataset entry and atomically swaps the manifest.
   void PutDataset(const std::string& name, const PersistedDatasetInfo& info);
+
+  // Persists one learned dataset in commit order: a blob per config text
+  // (`config_texts` parallels entry.config_keys) and per metadata text
+  // (parallel to entry.metadata_keys), then the contract object, whose key it
+  // sets in `entry`, then the manifest entry. The manifest swap publishes the
+  // dataset, so a crash before it leaves only unreferenced objects for gc.
+  // Counts the object files written in `*written`, also when a write throws.
+  void PutLearnedDataset(const std::string& name, PersistedDatasetInfo entry,
+                         const std::vector<std::string_view>& config_texts,
+                         const std::vector<std::string>& metadata_texts,
+                         std::string_view contracts, size_t* written);
 
   // Removes a dataset entry (objects stay until gc). False when absent.
   bool RemoveDataset(const std::string& name);
@@ -164,6 +187,8 @@ class DurableStore {
   uint64_t total_bytes_ CONCORD_GUARDED_BY(mu_) = 0;
   std::map<std::string, StoreStageCounters, std::less<>> counters_
       CONCORD_GUARDED_BY(mu_);
+  // Objects whose reads failed validation; PutObject rewrites them.
+  std::set<uint64_t> corrupt_keys_ CONCORD_GUARDED_BY(mu_);
 };
 
 // Manifest (de)serialization, exposed for tests. Keys are decimal strings —

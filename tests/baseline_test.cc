@@ -7,7 +7,6 @@
 #include "src/baseline/strict_parser.h"
 #include "src/datagen/edge_gen.h"
 #include "src/datagen/wan_gen.h"
-#include "src/learn/relational.h"
 #include "tests/test_util.h"
 
 namespace concord {
@@ -30,10 +29,10 @@ TEST(NaiveBaseline, MatchesOptimizedOnSmallInput) {
     texts.push_back("alpha " + v + "\nbeta " + v + "\naddr " + ip + "\nnet " + ip + "/32\n");
   }
   Dataset d = BuildDataset(texts);
-  auto indexes = BuildIndexes(d);
 
-  auto fast = MineRelational(d, indexes, SmallOptions());
-  auto slow = MineRelationalNaive(d, indexes, SmallOptions(), /*timeout_seconds=*/30.0);
+  auto fast = LearnKind(ContractKind::kRelational, d, SmallOptions());
+  auto slow =
+      MineRelationalNaive(d, BuildIndexes(d), SmallOptions(), /*timeout_seconds=*/30.0);
   ASSERT_TRUE(slow.has_value());
 
   auto keys = [&](const std::vector<Contract>& contracts) {

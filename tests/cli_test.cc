@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/format/json.h"
+#include "src/store/store.h"
 #include "src/util/fault.h"
 #include "src/util/io.h"
 
@@ -289,57 +290,100 @@ TEST_F(CliTest, CustomLexerFile) {
   EXPECT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--lexer", "/nonexistent"}), 2);
 }
 
-TEST_F(CliTest, IncrementalLearnReusesBaselineAndReportsDelta) {
-  std::string baseline = (dir_ / "state.json").string();
+// Under --store-dir the store entry is the learn cache: an unchanged learn is
+// skipped and writes the stored bytes; a changed config relearns, and the
+// result equals a fresh learn.
+TEST_F(CliTest, StoreDirLearnSkipsWhenUnchanged) {
+  std::string store = (dir_ / "store").string();
   std::string out;
-
-  // First run: no baseline yet, full learn, state written.
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline},
+                 ContractsPath(), "--store-dir", store},
                 &out),
             0);
-  EXPECT_NE(out.find("no usable baseline"), std::string::npos);
-  ASSERT_TRUE(std::filesystem::exists(baseline));
+  EXPECT_NE(out.find("store: persisted dataset 'default'"), std::string::npos) << out;
   std::string first = ReadFile(ContractsPath());
 
-  // Second run, unchanged inputs: the learn is skipped, output is bit-identical.
   std::string second_path = (dir_ / "contracts2.json").string();
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 second_path, "--incremental", "--baseline", baseline},
+                 second_path, "--store-dir", store},
                 &out),
             0);
-  EXPECT_NE(out.find("unchanged since baseline"), std::string::npos);
+  EXPECT_NE(out.find("store: dataset 'default' unchanged"), std::string::npos) << out;
+  EXPECT_EQ(out.find("contracts:"), std::string::npos) << out;  // No learn ran.
   EXPECT_EQ(ReadFile(second_path), first);
 
-  // Changing one config forces a relearn and reports the delta.
   WriteFile((dir_ / "configs" / "dev3.cfg").string(), Config(3) + "ntp server 10.0.0.9\n");
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline},
+                 ContractsPath(), "--store-dir", store},
                 &out),
             0);
-  EXPECT_NE(out.find("0 added, 0 removed, 1 modified"), std::string::npos);
-
-  // Incremental output equals a from-scratch learn of the same inputs.
-  std::string scratch_path = (dir_ / "contracts3.json").string();
+  EXPECT_EQ(out.find("unchanged"), std::string::npos) << out;
+  std::string fresh_path = (dir_ / "fresh.json").string();
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 scratch_path}),
+                 fresh_path}),
             0);
-  EXPECT_EQ(ReadFile(ContractsPath()), ReadFile(scratch_path));
+  EXPECT_EQ(ReadFile(ContractsPath()), ReadFile(fresh_path));
+
+  // Two learns left every object readable and referenced.
+  ASSERT_EQ(Run({"store", "verify", "--store-dir", store}, &out), 0) << out;
+  EXPECT_NE(out.find("corrupt: 0, missing refs: 0, manifest: ok"), std::string::npos)
+      << out;
 }
 
-TEST_F(CliTest, IncrementalLearnInvalidatesOnOptionChange) {
-  std::string baseline = (dir_ / "state.json").string();
-  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline}),
-            0);
+// A skipped input file has no key in the store entry, so a rerun that skips
+// the same file reuses the stored learn and still exits 3 (partial), and a
+// rerun that reads it relearns.
+TEST_F(CliTest, StoreDirLearnSkipKeepsThePartialExitCode) {
+  std::string store = (dir_ / "store").string();
+  std::vector<std::string> learn = {"learn", "--configs", ConfigsGlob(), "--support", "3",
+                                    "--out", ContractsPath(), "--store-dir", store};
   std::string out;
-  // Same inputs but a different threshold: the baseline must not be reused.
-  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "4", "--out",
-                 ContractsPath(), "--incremental", "--baseline", baseline},
+  for (const char* expect : {"store: persisted", "store: dataset 'default' unchanged"}) {
+    ASSERT_TRUE(FaultInjector::Global().Configure("read_file:fail_nth=2"));
+    EXPECT_EQ(Run(learn, &out), 3);
+    FaultInjector::Global().Reset();
+    EXPECT_NE(out.find(expect), std::string::npos) << out;
+  }
+  EXPECT_EQ(Run(learn, &out), 0);
+  EXPECT_EQ(out.find("unchanged"), std::string::npos) << out;
+}
+
+// Each input the learned bytes depend on is in the store entry: changing the
+// support, the embedding or the lexer relearns, and the result equals a fresh
+// learn with the same flags.
+TEST_F(CliTest, StoreDirLearnRelearnsOnOptionChange) {
+  std::string store = (dir_ / "store").string();
+  std::string lexer = (dir_ / "lexer.txt").string();
+  WriteFile(lexer, "# hostnames are one token\nhost DEV[0-9]+\n");
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store}),
+            0);
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"--support", "4"},
+        std::vector<std::string>{"--support", "3", "--no-embedding"},
+        std::vector<std::string>{"--support", "3", "--lexer", lexer}}) {
+    SCOPED_TRACE(flags.back());
+    std::vector<std::string> args = {"learn", "--configs", ConfigsGlob(), "--out",
+                                     ContractsPath(), "--store-dir", store};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::string out;
+    ASSERT_EQ(Run(args, &out), 0);
+    EXPECT_EQ(out.find("unchanged"), std::string::npos) << out;
+
+    std::vector<std::string> fresh = {"learn", "--configs", ConfigsGlob(), "--out",
+                                      (dir_ / "fresh.json").string()};
+    fresh.insert(fresh.end(), flags.begin(), flags.end());
+    ASSERT_EQ(Run(fresh), 0);
+    EXPECT_EQ(ReadFile(ContractsPath()), ReadFile((dir_ / "fresh.json").string()));
+  }
+  // A comment in the lexer file does not change its definitions.
+  WriteFile(lexer, "host DEV[0-9]+\n");
+  std::string out;
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--lexer", lexer,
+                 "--out", ContractsPath(), "--store-dir", store},
                 &out),
             0);
-  EXPECT_EQ(out.find("unchanged since baseline"), std::string::npos);
-  EXPECT_NE(out.find("options changed"), std::string::npos);
+  EXPECT_NE(out.find("unchanged"), std::string::npos) << out;
 }
 
 // Overlapping globs name dev1.cfg three times and the metadata file twice;
@@ -350,10 +394,10 @@ TEST_F(CliTest, OverlappingGlobsLoadEachFileOnce) {
   std::string dev1 = (dir_ / "configs" / "dev1.cfg").string();
   std::string dev1_dotted = (dir_ / "configs" / "." / "dev1.cfg").string();
   std::string meta_dotted = (dir_ / "." / "meta.json").string();
-  std::string baseline = (dir_ / "state.json").string();
+  std::string store = (dir_ / "store").string();
   std::string once_path = (dir_ / "once.json").string();
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--metadata", meta, "--support",
-                 "3", "--out", once_path, "--incremental", "--baseline", baseline}),
+                 "3", "--out", once_path, "--store-dir", store}),
             0);
 
   std::string out;
@@ -366,13 +410,111 @@ TEST_F(CliTest, OverlappingGlobsLoadEachFileOnce) {
   EXPECT_NE(out.find("configs: 6\n"), std::string::npos) << out;
   EXPECT_EQ(ReadFile(overlap_path), ReadFile(once_path));
 
-  // A repeated metadata file would change the chained metadata key.
+  // A repeated metadata file would add a metadata document to the store entry.
   ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--metadata", meta,
                  "--metadata", meta_dotted, "--support", "3", "--out", overlap_path,
-                 "--incremental", "--baseline", baseline},
+                 "--store-dir", store},
                 &out),
             0);
-  EXPECT_NE(out.find("6 config(s) unchanged since baseline"), std::string::npos) << out;
+  EXPECT_NE(out.find("store: dataset 'default' unchanged"), std::string::npos) << out;
+}
+
+// `check --store-dir` reads the persisted set, so its reports are the bytes
+// `check --contracts` writes for the same set.
+TEST_F(CliTest, CheckFromStoreMatchesCheckFromFile) {
+  std::string store = (dir_ / "store").string();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3",
+                 "--score-threshold", "3", "--out", ContractsPath(), "--store-dir", store}),
+            0);
+  std::string bad = Config(3);
+  bad = bad.replace(bad.find("seq 10 permit 10.14.3.34/32"),
+                    std::string("seq 10 permit 10.14.3.34/32").size(),
+                    "seq 10 permit 10.14.77.34/32");
+  WriteFile((dir_ / "configs" / "dev3.cfg").string(), bad);
+  std::map<std::string, std::string> reports;
+  for (const std::vector<std::string>& source :
+       {std::vector<std::string>{"--contracts", ContractsPath()},
+        std::vector<std::string>{"--store-dir", store}}) {
+    std::vector<std::string> args = {"check", "--configs", ConfigsGlob(), "--json-out",
+                                     (dir_ / "r.json").string(), "--html-out",
+                                     (dir_ / "r.html").string(), "--coverage-out",
+                                     (dir_ / "r.txt").string()};
+    args.insert(args.end(), source.begin(), source.end());
+    ASSERT_EQ(Run(args), 1);
+    reports[source.front()] = ReadFile((dir_ / "r.json").string()) +
+                              ReadFile((dir_ / "r.html").string()) +
+                              ReadFile((dir_ / "r.txt").string());
+  }
+  EXPECT_NE(reports["--contracts"].find("dev3.cfg"), std::string::npos);
+  EXPECT_EQ(reports["--store-dir"], reports["--contracts"]);
+}
+
+// A contract set records its lexer definitions, and checking or analyzing
+// configs with other definitions is refused: its patterns would not match.
+TEST_F(CliTest, CheckRefusesALexerMismatch) {
+  std::string lexer = (dir_ / "lexer.txt").string();
+  WriteFile(lexer, "host DEV[0-9]+\n");
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--lexer", lexer,
+                 "--out", ContractsPath()}),
+            0);
+  EXPECT_NE(ReadFile(ContractsPath()).find("\"lexerKey\""), std::string::npos);
+  std::string err;
+  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts", ContractsPath()},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("lexer mismatch"), std::string::npos) << err;
+  EXPECT_EQ(Run({"analyze", "--configs", ConfigsGlob(), "--contracts", ContractsPath()},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("lexer mismatch"), std::string::npos) << err;
+  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts", ContractsPath(),
+                 "--lexer", lexer}),
+            0);
+  // Without configs nothing is lexed, so the set-only analysis runs.
+  EXPECT_EQ(Run({"analyze", "--contracts", ContractsPath()}), 0);
+
+  // And the other way round: a built-in-lexer set checked with --lexer.
+  std::string plain = (dir_ / "plain.json").string();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out", plain}),
+            0);
+  EXPECT_EQ(ReadFile(plain).find("\"lexerKey\""), std::string::npos);
+  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--contracts", plain, "--lexer",
+                 lexer},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("lexer mismatch"), std::string::npos) << err;
+}
+
+// A contract object damaged on disk fails `check --store-dir` with
+// store_corrupt; relearning the same inputs rewrites the object, after which
+// check and `store verify` pass.
+TEST_F(CliTest, StoreDirRelearnRepairsACorruptContractObject) {
+  std::string store = (dir_ / "store").string();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store, "--quiet"}),
+            0);
+  std::string manifest_dump;
+  ASSERT_EQ(Run({"store", "ls", "--store-dir", store}, &manifest_dump), 0);
+  size_t key_at = manifest_dump.find("(key ");
+  ASSERT_NE(key_at, std::string::npos) << manifest_dump;
+  uint64_t key = std::stoull(manifest_dump.substr(key_at + 5));
+  std::string object = store + "/" + DurableStore::ObjectRelPath(key);
+  std::string bytes = ReadFile(object);
+  bytes[64] = static_cast<char>(bytes[64] ^ 0x7f);
+  WriteFile(object, bytes);
+
+  std::string err;
+  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--store-dir", store}, nullptr, &err),
+            2);
+  EXPECT_NE(err.find("store_corrupt"), std::string::npos) << err;
+  std::string out;
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out",
+                 ContractsPath(), "--store-dir", store},
+                &out),
+            0);
+  EXPECT_EQ(out.find("unchanged"), std::string::npos) << out;
+  EXPECT_EQ(Run({"check", "--configs", ConfigsGlob(), "--store-dir", store}), 0);
+  EXPECT_EQ(Run({"store", "verify", "--store-dir", store}, &out), 0) << out;
 }
 
 // Parsing runs on --parallelism workers, and its input-order merge keeps every

@@ -187,6 +187,27 @@ TEST(ContractIo, RejectsMalformed) {
   EXPECT_NE(error.find("pattern"), std::string::npos);
 }
 
+// The lexer key is written only when nonzero, as a decimal string, so a set
+// learned with the built-in lexer keeps its bytes; it round-trips in full.
+TEST(ContractIo, LexerKeyIsWrittenOnlyWhenNonzero) {
+  PatternTable table;
+  ContractSet set;
+  EXPECT_EQ(SerializeContracts(set, table).find("lexerKey"), std::string::npos);
+  set.lexer_key = 0xfedcba9876543210ull;
+  std::string json = SerializeContracts(set, table);
+  EXPECT_NE(json.find("\"lexerKey\": \"18364758544493064720\""), std::string::npos) << json;
+  std::string error;
+  auto loaded = ParseContracts(json, &table, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->lexer_key, set.lexer_key);
+  for (const char* bad : {R"({"lexerKey": 7, "contracts": []})",
+                          R"({"lexerKey": "", "contracts": []})",
+                          R"({"lexerKey": "-1", "contracts": []})",
+                          R"({"lexerKey": "12x", "contracts": []})"}) {
+    EXPECT_FALSE(ParseContracts(bad, &table, &error).has_value()) << bad;
+  }
+}
+
 TEST(ContractSet, CountKind) {
   PatternTable table;
   ContractSet set;

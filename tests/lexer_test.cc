@@ -179,5 +179,23 @@ TEST(Lexer, DefaultRoutePrefix) {
   EXPECT_EQ(lex.values[1], Value::Pfx4(*Ipv4Network::Parse("0.0.0.0/0")));
 }
 
+// The definitions key names the user tokens, not the file: comments and
+// spacing do not change it, a token's name or regex or their order does, and
+// the built-in lexer has key 0.
+TEST(Lexer, DefinitionsKeyFollowsTheTokensOnly) {
+  auto key = [](const std::string& text) {
+    Lexer lexer;
+    EXPECT_TRUE(lexer.LoadDefinitions(text));
+    return lexer.DefinitionsKey();
+  };
+  EXPECT_EQ(Lexer().DefinitionsKey(), 0u);
+  const uint64_t base = key("iface Et[0-9]+\nhost DEV[0-9]+\n");
+  EXPECT_NE(base, 0u);
+  EXPECT_EQ(key("# tokens\n\niface   Et[0-9]+\n  host\tDEV[0-9]+\n"), base);
+  EXPECT_NE(key("host DEV[0-9]+\niface Et[0-9]+\n"), base);
+  EXPECT_NE(key("iface Et[0-9]*\nhost DEV[0-9]+\n"), base);
+  EXPECT_NE(key("port Et[0-9]+\nhost DEV[0-9]+\n"), base);
+}
+
 }  // namespace
 }  // namespace concord

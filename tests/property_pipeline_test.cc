@@ -17,9 +17,9 @@
 #include "src/datagen/edge_gen.h"
 #include "src/datagen/wan_gen.h"
 #include "src/learn/learner.h"
-#include "src/learn/relational.h"
 #include "src/util/io.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace concord {
 namespace {
@@ -150,11 +150,11 @@ TEST_P(PipelineProperty, OptimizedEqualsNaiveOnSmallCorpora) {
     corpus = GenerateWan(wan);
   }
   Dataset dataset = ParseCorpus(corpus);
-  auto indexes = BuildIndexes(dataset);
   LearnOptions options = Options();
 
-  auto fast = MineRelational(dataset, indexes, options);
-  auto slow = MineRelationalNaive(dataset, indexes, options, /*timeout_seconds=*/60.0);
+  auto fast = LearnKind(ContractKind::kRelational, dataset, options);
+  auto slow =
+      MineRelationalNaive(dataset, BuildIndexes(dataset), options, /*timeout_seconds=*/60.0);
   ASSERT_TRUE(slow.has_value());
 
   std::set<std::string> fast_keys, slow_keys;
@@ -170,12 +170,11 @@ TEST_P(PipelineProperty, OptimizedEqualsNaiveOnSmallCorpora) {
 TEST_P(PipelineProperty, ParallelMiningMatchesSerial) {
   GeneratedCorpus corpus = CorpusForSeed(GetParam());
   Dataset dataset = ParseCorpus(corpus);
-  auto indexes = BuildIndexes(dataset);
   LearnOptions serial = Options();
   LearnOptions parallel = Options();
   parallel.parallelism = 4;
-  auto a = MineRelational(dataset, indexes, serial);
-  auto b = MineRelational(dataset, indexes, parallel);
+  auto a = LearnKind(ContractKind::kRelational, dataset, serial);
+  auto b = LearnKind(ContractKind::kRelational, dataset, parallel);
   std::set<std::string> ka, kb;
   for (const Contract& c : a) {
     ka.insert(c.Key(dataset.patterns));

@@ -1,5 +1,3 @@
-#include "src/learn/relational.h"
-
 #include <gtest/gtest.h>
 
 #include "src/contracts/contract_io.h"
@@ -68,9 +66,9 @@ const Contract* Find(const std::vector<Contract>& contracts, const Dataset& d,
   return nullptr;
 }
 
-TEST(MineRelational, LearnsFigure1Contract1_HexMacEquality) {
+TEST(LearnRelational, LearnsFigure1Contract1_HexMacEquality) {
   Dataset d = EdgeDataset(8);
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   const Contract* c =
       Find(contracts, d, RelationKind::kEquals, "interface Port-Channel[a:num]",
            "route-target import [a:mac]");
@@ -81,9 +79,9 @@ TEST(MineRelational, LearnsFigure1Contract1_HexMacEquality) {
   EXPECT_GE(c->confidence, 0.99);
 }
 
-TEST(MineRelational, LearnsFigure1Contract2_IpContainedInPrefixList) {
+TEST(LearnRelational, LearnsFigure1Contract2_IpContainedInPrefixList) {
   Dataset d = EdgeDataset(8);
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   const Contract* c = Find(contracts, d, RelationKind::kContains, "ip address [a:ip4]",
                            "seq [a:num] permit [b:pfx4]");
   ASSERT_NE(c, nullptr);
@@ -91,26 +89,26 @@ TEST(MineRelational, LearnsFigure1Contract2_IpContainedInPrefixList) {
   EXPECT_EQ(c->param2, 1);  // The pfx4 is the second captured value.
 }
 
-TEST(MineRelational, LearnsFigure1Contract3_VlanSuffixOfRd) {
+TEST(LearnRelational, LearnsFigure1Contract3_VlanSuffixOfRd) {
   Dataset d = EdgeDataset(8);
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   const Contract* c =
       Find(contracts, d, RelationKind::kSuffixOf, "vlan [a:num]", "rd [a:ip4]:[b:num]");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->param2, 1);
 }
 
-TEST(MineRelational, SpuriousDefaultPrefixContractRejected) {
+TEST(LearnRelational, SpuriousDefaultPrefixContractRejected) {
   // The rd IP (10.99.0.x) is only contained in 0.0.0.0/0, which scores zero — the
   // spurious contract from Challenge 3 must not be learned.
   Dataset d = EdgeDataset(8);
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   const Contract* c =
       Find(contracts, d, RelationKind::kContains, "rd [a:ip4]:[b:num]", "seq [a:num] permit");
   EXPECT_EQ(c, nullptr);
 }
 
-TEST(MineRelational, BrokenDependencyLowersConfidence) {
+TEST(LearnRelational, BrokenDependencyLowersConfidence) {
   // In 3 of 10 configs the MAC does not encode the channel number: confidence 0.7 < C.
   std::vector<std::string> texts;
   for (int i = 0; i < 10; ++i) {
@@ -123,20 +121,20 @@ TEST(MineRelational, BrokenDependencyLowersConfidence) {
     texts.push_back(cfg);
   }
   Dataset d = BuildDataset(texts);
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   const Contract* c =
       Find(contracts, d, RelationKind::kEquals, "interface Port-Channel[a:num]",
            "route-target import [a:mac]");
   EXPECT_EQ(c, nullptr);
 }
 
-TEST(MineRelational, ScoreThresholdFiltersLowDiversity) {
+TEST(LearnRelational, ScoreThresholdFiltersLowDiversity) {
   // All configs relate the same single small value; diversity score stays tiny.
   std::vector<std::string> texts(8, "left 5\nright 5\n");
   Dataset d = BuildDataset(texts);
   LearnOptions options = SmallOptions();
   options.score_threshold = 3.0;
-  auto contracts = MineRelational(d, BuildIndexes(d), options);
+  auto contracts = LearnKind(ContractKind::kRelational, d, options);
   EXPECT_EQ(Find(contracts, d, RelationKind::kEquals, "left", "right"), nullptr);
 
   // With diverse, specific values the same shape is learned.
@@ -146,21 +144,21 @@ TEST(MineRelational, ScoreThresholdFiltersLowDiversity) {
     texts.push_back("left " + v + "\nright " + v + "\n");
   }
   Dataset d2 = BuildDataset(texts);
-  auto contracts2 = MineRelational(d2, BuildIndexes(d2), options);
+  auto contracts2 = LearnKind(ContractKind::kRelational, d2, options);
   EXPECT_NE(Find(contracts2, d2, RelationKind::kEquals, "left", "right"), nullptr);
 }
 
-TEST(MineRelational, SupportFilterSkipsRarePatterns) {
+TEST(LearnRelational, SupportFilterSkipsRarePatterns) {
   std::vector<std::string> texts(8, "alpha 4242\nbeta 4242\n");
   texts[0] += "gamma 4242\n";  // gamma appears once: below support.
   Dataset d = BuildDataset(texts);
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   for (const Contract& c : contracts) {
     EXPECT_EQ(d.patterns.Get(c.pattern).text.find("gamma"), std::string::npos);
   }
 }
 
-TEST(MineRelational, MetadataRelationsLearned) {
+TEST(LearnRelational, MetadataRelationsLearned) {
   // §3.7 / RQ4 example 2: config vlans must match metadata vlan ids.
   std::vector<std::string> texts;
   Dataset d;
@@ -184,18 +182,10 @@ TEST(MineRelational, MetadataRelationsLearned) {
       d.metadata = parser.ParseMetadata(meta);
     }
   }
-  auto contracts = MineRelational(d, BuildIndexes(d), SmallOptions());
+  auto contracts = LearnKind(ContractKind::kRelational, d, SmallOptions());
   const Contract* c = Find(contracts, d, RelationKind::kEquals, "vlan [a:num]", "@meta");
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(d.patterns.Get(c->pattern2).text, "@meta/nfInfos/vlanId [a:num]");
-}
-
-TEST(MineRelational, StatsReportCandidates) {
-  Dataset d = EdgeDataset(5);
-  RelationalMiningStats stats;
-  MineRelationalWithStats(d, BuildIndexes(d), SmallOptions(), &stats);
-  EXPECT_GT(stats.candidate_keys, 0u);
-  EXPECT_GT(stats.match_events, stats.candidate_keys / 2);
 }
 
 // 120 configs relating `left N` to `right N`, three values each: 2-digit values
@@ -219,7 +209,7 @@ std::vector<std::string> CappedDiversityCorpus() {
 // The diversity cap keeps the 256 smallest witness texts of the union, so the
 // learned bytes do not depend on config order, parallelism or the store, which
 // aggregates in name order (cfg0, cfg1, cfg10, ...).
-TEST(MineRelational, DiversityCapIsIndependentOfConfigOrder) {
+TEST(LearnRelational, DiversityCapIsIndependentOfConfigOrder) {
   const std::vector<std::string> texts = CappedDiversityCorpus();
   std::vector<std::string> reversed(texts.rbegin(), texts.rend());
   auto learn = [](const std::vector<std::string>& corpus, LearnOptions options) {

@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/cli/cli.h"
 #include "src/datagen/edge_gen.h"
 #include "src/datagen/wan_gen.h"
 #include "src/format/json.h"
@@ -18,6 +20,7 @@
 #include "src/store/record_io.h"
 #include "src/store/store.h"
 #include "src/util/fault.h"
+#include "src/util/io.h"
 
 namespace concord {
 namespace {
@@ -254,8 +257,62 @@ TEST_F(StoreServiceTest, CorruptContractsObjectDegradesToRelearnOnUpdate) {
   ASSERT_EQ(relearned.GetBool("ok"), true) << relearned.Serialize(0);
   JsonValue checked = Respond(*warm, CheckRequest("d", corpus));
   EXPECT_EQ(checked.GetBool("ok"), true);
-  EXPECT_TRUE(
-      DurableStore(store_dir).Verify().corrupt <= 1);  // Old object may linger until gc.
+  // The relearn wrote the same contract bytes, which replaced the damaged object.
+  EXPECT_EQ(DurableStore(store_dir).Verify().corrupt, 0u);
+}
+
+// A dataset persisted by `concord learn --no-embedding --store-dir` keeps its
+// parse settings through a serve update: the hydrated relearn parses without
+// embedding, so the persisted contracts equal a CLI --no-embedding learn of
+// the updated inputs.
+TEST_F(StoreServiceTest, UpdateOfCliNoEmbeddingDatasetKeepsItsParseSettings) {
+  std::string store_dir = StoreDir("no-embedding");
+  std::filesystem::path configs = dir_ / "configs";
+  std::filesystem::create_directories(configs);
+  GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
+  for (const GeneratedConfig& config : corpus.configs) {
+    WriteFile((configs / config.name).string(), config.text);
+  }
+  auto learn = [&](std::vector<const char*> extra) {
+    std::string glob = (configs / "*.cfg").string();
+    std::vector<const char*> argv = {"concord", "learn", "--configs", glob.c_str(),
+                                     "--no-embedding", "--quiet"};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    std::ostringstream out, err;
+    return RunConcord(static_cast<int>(argv.size()), argv.data(), out, err);
+  };
+  std::string out_path = (dir_ / "cli.json").string();
+  ASSERT_EQ(learn({"--store-dir", store_dir.c_str(), "--dataset", "d", "--out",
+                   out_path.c_str()}),
+            0);
+
+  // The CLI names configs by path; the update replaces one of them.
+  std::string edited = (configs / corpus.configs.front().name).string();
+  std::string text = corpus.configs.front().text + "ntp server 10.0.0.9\n";
+  JsonValue update = JsonValue::Object();
+  update.Set("v", JsonValue::Number(int64_t{1}));
+  update.Set("verb", JsonValue::String("update"));
+  update.Set("dataset", JsonValue::String("d"));
+  JsonValue item = JsonValue::Object();
+  item.Set("name", JsonValue::String(edited));
+  item.Set("text", JsonValue::String(text));
+  JsonValue items = JsonValue::Array();
+  items.Append(std::move(item));
+  update.Set("configs", std::move(items));
+  {
+    auto service = MakeService(store_dir);
+    JsonValue reply = Respond(*service, update.Serialize(0));
+    ASSERT_EQ(reply.GetBool("ok"), true) << reply.Serialize(0);
+  }
+
+  WriteFile(edited, text);
+  ASSERT_EQ(learn({"--out", out_path.c_str()}), 0);
+  DurableStore store(store_dir);
+  std::optional<PersistedDatasetInfo> info = store.GetDataset("d");
+  ASSERT_TRUE(info.has_value());
+  EXPECT_FALSE(info->embed);
+  EXPECT_EQ(store.GetObject(RecordType::kContracts, info->contracts_key, "contracts"),
+            ReadFile(out_path));
 }
 
 TEST_F(StoreServiceTest, CorruptConfigBlobSurfacesStoreCorruptAndRelearnsRest) {

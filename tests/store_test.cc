@@ -88,6 +88,26 @@ TEST_F(StoreTest, DamagedObjectCountsAsCorruptAndDegrades) {
   EXPECT_EQ(counters["config"].misses, 0u);  // Damage is counted once, as corrupt.
 }
 
+// A relearn that puts the bytes of an object a read found corrupt rewrites it;
+// a healthy object is still never rewritten.
+TEST_F(StoreTest, PutObjectRepairsAnObjectReadBackCorrupt) {
+  DurableStore store(Dir());
+  uint64_t key = ContentKey("dev1.cfg", "payload");
+  ASSERT_TRUE(store.PutObject(RecordType::kBlob, key, "payload", "config"));
+  const uint64_t bytes = store.total_bytes();
+  Damage(Dir() + "/" + DurableStore::ObjectRelPath(key));
+  // Unread damage is not known to the store: the put is the idempotent no-op.
+  EXPECT_FALSE(store.PutObject(RecordType::kBlob, key, "payload", "config"));
+  ASSERT_EQ(store.GetObject(RecordType::kBlob, key, "config"), std::nullopt);
+
+  EXPECT_TRUE(store.PutObject(RecordType::kBlob, key, "payload", "config"));
+  EXPECT_EQ(store.GetObject(RecordType::kBlob, key, "config"), "payload");
+  EXPECT_FALSE(store.PutObject(RecordType::kBlob, key, "payload", "config"));
+  EXPECT_EQ(store.object_count(), 1u);
+  EXPECT_EQ(store.total_bytes(), bytes);
+  EXPECT_EQ(store.Verify().corrupt, 0u);
+}
+
 TEST_F(StoreTest, ManifestRoundTripsAcrossReopen) {
   PersistedDatasetInfo info;
   info.config_keys["dev1.cfg"] = 0xdeadbeefcafef00dull;
@@ -131,6 +151,25 @@ TEST_F(StoreTest, DatasetInfoJsonKeepsFullKeyPrecision) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->config_keys["c"], 0xfedcba9876543210ull);
   EXPECT_EQ(back->contracts_key, 0xffffffffffffffffull);
+}
+
+// The parse settings are written only when not the default, so an entry
+// learned with the built-in lexer and embedding keeps its bytes.
+TEST_F(StoreTest, ParseSettingsAreWrittenOnlyWhenNotDefault) {
+  PersistedDatasetInfo info;
+  std::string plain = DatasetInfoToJson(info).Serialize(0);
+  EXPECT_EQ(plain.find("\"embed\""), std::string::npos) << plain;
+  EXPECT_EQ(plain.find("\"lexer\""), std::string::npos) << plain;
+  info.embed = false;
+  info.lexer = 0xfedcba9876543210ull;
+  auto back = DatasetInfoFromJson(DatasetInfoToJson(info));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_FALSE(back->embed);
+  EXPECT_EQ(back->lexer, 0xfedcba9876543210ull);
+  auto defaults = DatasetInfoFromJson(*JsonValue::Parse(plain));
+  ASSERT_TRUE(defaults.has_value());
+  EXPECT_TRUE(defaults->embed);
+  EXPECT_EQ(defaults->lexer, 0u);
 }
 
 TEST_F(StoreTest, RemoveDatasetPersists) {

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "src/contracts/contract.h"
+#include "src/learn/learner.h"
 #include "src/pattern/lexer.h"
 #include "src/pattern/parser.h"
 
@@ -20,6 +22,20 @@ inline Dataset BuildDataset(const std::vector<std::string>& texts, ParseOptions 
     dataset.configs.push_back(parser.Parse("config" + std::to_string(i) + ".cfg", texts[i]));
   }
   return dataset;
+}
+
+// Learns the contracts of one category: Learner with every other category
+// disabled and minimization off, so the miner's raw output is what returns.
+inline std::vector<Contract> LearnKind(ContractKind kind, const Dataset& dataset,
+                                       LearnOptions options) {
+  options.learn_present = kind == ContractKind::kPresent;
+  options.learn_ordering = kind == ContractKind::kOrdering;
+  options.learn_type = kind == ContractKind::kType;
+  options.learn_sequence = kind == ContractKind::kSequence;
+  options.learn_unique = kind == ContractKind::kUnique;
+  options.learn_relational = kind == ContractKind::kRelational;
+  options.minimize = false;
+  return Learner(options).Learn(dataset).set.contracts;
 }
 
 }  // namespace concord

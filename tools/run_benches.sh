@@ -2,7 +2,8 @@
 # Runs every experiment harness, teeing per-bench outputs next to an aggregate file.
 # Usage: tools/run_benches.sh [output-dir]   (default: bench_results/)
 #        tools/run_benches.sh --serve        smoke-test `concord serve` with canned
-#                                            requests piped through the binary
+#                                            requests piped through the binary,
+#                                            learning through --store-dir twice
 #        tools/run_benches.sh --smoke        serve smoke plus, when
 #                                            CONCORD_SMOKE_ASAN=1, the sanitized
 #                                            test pass (tools/run_tests_asan.sh)
@@ -41,8 +42,27 @@ serve_smoke() {
     printf 'hostname DEV%s\ninterface Loopback0\n   ip address 10.14.%s.34\n' \
       "$i" "$i" > "$tmp/dev$i.cfg"
   done
+  # Learned twice through the durable store: the second run finds its store
+  # entry unchanged, skips the learn and writes the same bytes, and the store
+  # verifies clean.
   "$concord" learn --configs "$tmp/*.cfg" --support 2 --quiet \
-    --out "$tmp/contracts.json" || exit 2
+    --store-dir "$tmp/store" --out "$tmp/contracts.json" || exit 2
+  relearn="$("$concord" learn --configs "$tmp/*.cfg" --support 2 \
+    --store-dir "$tmp/store" --out "$tmp/relearned.json")" || exit 2
+  if ! printf '%s\n' "$relearn" | grep -q "^store: dataset 'default' unchanged"; then
+    echo "serve smoke FAILED: an unchanged learn --store-dir did not skip" >&2
+    printf '%s\n' "$relearn" >&2
+    exit 1
+  fi
+  if ! cmp -s "$tmp/contracts.json" "$tmp/relearned.json"; then
+    echo "serve smoke FAILED: the skipped learn wrote different bytes" >&2
+    exit 1
+  fi
+  if ! verify="$("$concord" store verify --store-dir "$tmp/store")"; then
+    echo "serve smoke FAILED: store verify found damage" >&2
+    printf '%s\n' "$verify" >&2
+    exit 1
+  fi
   # Canned v1 request file: a batched check, a cache-hitting repeat, the error
   # path (a request without "v", an unknown verb), stats, a metrics scrape,
   # shutdown.
@@ -99,8 +119,8 @@ EOF
     echo "serve smoke FAILED: metrics carry a series for the unknown verb" >&2
     exit 1
   fi
-  echo "serve smoke OK ($lines responses, error envelopes, cache hit on repeat," \
-    "metrics valid)"
+  echo "serve smoke OK (store skip on relearn, store verified, $lines responses," \
+    "error envelopes, cache hit on repeat, metrics valid)"
 }
 
 if [ "${1:-}" = "--store" ]; then
