@@ -1,5 +1,6 @@
 #include "src/check/checker.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
@@ -8,6 +9,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/learn/summaries.h"
+#include "src/relations/key_interner.h"
 #include "src/util/arena.h"
 #include "src/util/fault.h"
 #include "src/util/thread_pool.h"
@@ -67,7 +70,7 @@ std::optional<CoverageKind> CoverageKindOf(const Contract& contract) {
 namespace {
 
 // Per-config coverage bitmask: one byte per line, bit i = CoverageKind i.
-// Atomic because parallel contract ranges can mark the same config; OR is
+// Atomic because the contract chunks of one tile can mark the same config; OR is
 // commutative, so marking order never shows in the result. Null when coverage
 // is off. Storage comes from the request arena.
 using CoverFlags = std::atomic<uint8_t>*;
@@ -82,23 +85,63 @@ void MarkCovered(CoverFlags flags, const ConfigIndex& index, uint32_t line,
 
 // One config's occurrence list for one contract-pattern slot of the batch
 // postings table (DESIGN.md §12): built by a single scan over every config's
-// index, so the contract-major loop below probes no hash table at all.
+// index, so the scan below finds a contract's occurrences without a hash probe.
 struct Posting {
   uint32_t ordinal;                   // Config position in the batch.
   const std::vector<uint32_t>* occ;   // That config's occurrence list.
 };
 
-// The contract-major scan walks the batch in config tiles of this many configs:
-// pure contract-major order re-touches every config's parsed lines once per
-// contract, which falls off the cache cliff for large batches. Per-contract
-// cursors into the (ordinal-sorted) postings keep the output order identical.
-constexpr size_t kTileConfigs = 32;
+constexpr uint32_t kNoKey = KeyInterner::kNone;
 
-// Does the relation hold between the forall-side line l1 and exists-side line l2 of
-// `contract`? Keys are the transformed canonical strings; containment evaluates on the
-// actual typed values.
-bool RelationHolds(const Contract& contract, const std::string& key1, const Value& value1,
-                   const std::string& key2, const Value& value2) {
+// The relational keys of one config. Each (pattern, param, transform) a task's
+// contracts read is rendered on first use into per-occurrence ids of one
+// KeyInterner, and every later contract on the config reuses them. A task
+// Reset()s the table between configs; the storage stays, so a task allocates
+// only while its table grows.
+class ConfigKeys {
+ public:
+  void Reset() {
+    interner_.Clear();
+    runs_.clear();
+    ids_.clear();
+  }
+
+  // Offset into ids() of the key ids of `occ` (the lines of `pattern`) under
+  // (param, t), one per occurrence: kNoKey where the line lacks the parameter
+  // or `t` does not apply to its value.
+  uint32_t Run(const ConfigIndex& index, PatternId pattern, uint16_t param,
+               const Transform& t, const std::vector<uint32_t>& occ) {
+    auto [run, inserted] = runs_.TryEmplace(PackRelationalNode(pattern, param, t),
+                                            static_cast<uint32_t>(ids_.size()));
+    if (inserted) {
+      for (uint32_t line : occ) {
+        const std::vector<Value>& values = index.lines[line]->values;
+        std::optional<std::string> key;
+        if (param < values.size()) {
+          key = t.Apply(values[param]);
+        }
+        ids_.push_back(key ? interner_.Intern(*key) : kNoKey);
+      }
+    }
+    return *run;
+  }
+
+  const uint32_t* ids() const { return ids_.data(); }
+  std::string_view Text(uint32_t id) const { return interner_.Text(id); }
+  uint32_t size() const { return interner_.size(); }
+
+ private:
+  KeyInterner interner_;
+  FlatMap<uint64_t, uint32_t> runs_;  // Packed node -> offset into ids_.
+  std::vector<uint32_t> ids_;
+};
+
+// Does a contains or affix relation hold between the forall-side line l1 and
+// exists-side line l2 of `contract`? Affixes compare the transformed key texts;
+// containment evaluates on the actual typed values. (Equality compares key
+// ids and never gets here.)
+bool RelationHolds(const Contract& contract, std::string_view key1, const Value& value1,
+                   std::string_view key2, const Value& value2) {
   switch (contract.relation) {
     case RelationKind::kEquals:
       return key1 == key2;
@@ -205,7 +248,7 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
   TraceSpan total_span("check", "total");
   // Per-contract-kind attribution. Contracts are canonically sorted by kind, so
   // timing only at kind boundaries keeps this to a handful of clock reads per
-  // contract range; with tracing off there are none at all.
+  // config and task; with tracing off there are none at all.
   TraceCollector& tracer = TraceCollector::Global();
   const bool trace_on = tracer.mode() != 0;
   constexpr size_t kNumKinds = 6;
@@ -248,8 +291,8 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
 
   // ---- Batch postings: one scan over every config's index. ----
   // postings[slot] lists, in batch order, each config that contains the slot's
-  // pattern. The contract-major loop below reads these lists instead of probing
-  // N hash maps per contract — the amortization that makes batches fast.
+  // pattern. The scan below reads these lists instead of probing N hash maps
+  // per contract — the amortization that makes batches fast.
   std::vector<ArenaVector<Posting>> postings;
   postings.reserve(num_slots_);
   for (uint32_t s = 0; s < num_slots_; ++s) {
@@ -320,8 +363,14 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
     }
   };
 
-  // ---- Contract-major scan: contracts partitioned into contiguous ranges,
-  // each range evaluated against the whole batch via the postings table. ----
+  // ---- The scan grid: config tiles x contract chunks (DESIGN.md §12). ----
+  // A batch of many tiles runs one task per tile over the whole contract set,
+  // so every contract on a config reads one shared key table. A batch with too
+  // few tiles to keep the workers busy (every serve request is one tile) also
+  // cuts the contracts into contiguous, count-cut chunks. A task walks its tile
+  // one config at a time, so the config's lines and keys stay cache-resident
+  // while each of the task's contracts reads them; per-contract cursors into
+  // the ordinal-sorted postings find each config's occurrences.
   const bool parallel = options.parallelism != 1;
   size_t worker_count = 1;
   if (parallel) {
@@ -336,134 +385,134 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
       worker_count = 1;
     }
   }
-  std::vector<std::pair<size_t, size_t>> ranges;  // [begin, end) contract index.
-  if (num_contracts > 0) {
-    size_t want = parallel ? worker_count * 4 : 1;
-    if (want > num_contracts) {
-      want = num_contracts;
-    }
-    size_t chunk = (num_contracts + want - 1) / want;
-    for (size_t begin = 0; begin < num_contracts; begin += chunk) {
-      size_t end = begin + chunk < num_contracts ? begin + chunk : num_contracts;
-      ranges.emplace_back(begin, end);
-    }
+  const size_t tiles = (n + kCheckTileConfigs - 1) / kCheckTileConfigs;
+  size_t chunk_len = num_contracts;
+  if (parallel && tiles > 0 && num_contracts > 0) {
+    const size_t want = std::min(num_contracts, (4 * worker_count + tiles - 1) / tiles);
+    chunk_len = (num_contracts + want - 1) / want;
   }
+  const size_t chunks = chunk_len == 0 ? 0 : (num_contracts + chunk_len - 1) / chunk_len;
+  const size_t num_tasks = tiles * chunks;
 
-  std::vector<std::vector<std::vector<Violation>>> range_violations(ranges.size());
-  auto check_range = [&](size_t r) {
+  // One task's violations in (config, contract) order, each with its config's
+  // ordinal; allocated only when the task finds one.
+  struct TaskViolations {
+    std::vector<uint32_t> ordinals;
+    std::vector<Violation> violations;
+  };
+  std::vector<TaskViolations> task_violations(num_tasks);
+  auto run_task = [&](size_t t) {
     if (deadline_hit.load(std::memory_order_relaxed)) {
       return;
     }
-    const auto [range_begin, range_end] = ranges[r];
-    std::vector<std::vector<Violation>>& bucket = range_violations[r];
-    bucket.resize(n);
-    // Per-task arena for witness scratch; tasks never share arenas, so the
-    // bump pointer needs no synchronization.
+    const size_t tile_begin = (t / chunks) * kCheckTileConfigs;
+    const size_t tile_end = std::min(n, tile_begin + kCheckTileConfigs);
+    const size_t k_begin = (t % chunks) * chunk_len;
+    const size_t k_end = std::min(num_contracts, k_begin + chunk_len);
+    TaskViolations& out = task_violations[t];
+    auto violate = [&](size_t ci, size_t contract_index, int line_number,
+                       std::string message) {
+      out.ordinals.push_back(static_cast<uint32_t>(ci));
+      out.violations.push_back(Violation{contract_index, indexes[ci]->config->name,
+                                         line_number, std::move(message)});
+    };
+    auto violate_relation = [&](size_t ci, size_t contract_index, const Contract& c,
+                                const ParsedLine& l1) {
+      violate(ci, contract_index, l1.line_number,
+              "no line matching " + table_->Get(c.pattern2).text + " satisfies " +
+                  std::string(RelationKindName(c.relation)) + " with value " +
+                  l1.values[c.param].ToString());
+    };
+
+    // Task scratch; tasks never share it, so nothing here is synchronized.
     Arena task_arena;
+    // Per-contract cursor into its ordinal-sorted postings, started at the
+    // tile by binary search; each config of the tile consumes its posting.
+    ArenaVector<size_t> cursor{ArenaAllocator<size_t>(&task_arena)};
+    cursor.resize(k_end - k_begin, 0);
+    for (size_t k = k_begin; k < k_end; ++k) {
+      if (contract_slot_[k] != kNoSlot) {
+        const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+        cursor[k - k_begin] = static_cast<size_t>(
+            std::lower_bound(ps.begin(), ps.end(), tile_begin,
+                             [](const Posting& p, size_t ordinal) {
+                               return p.ordinal < ordinal;
+                             }) -
+            ps.begin());
+      }
+    }
+    ConfigKeys keys;
+    // Equality: per key id, the exists-side lines carrying it and the first.
+    struct Tally {
+      uint32_t count = 0;
+      uint32_t line = 0;
+    };
+    std::vector<Tally> tally;
+    // Contains and affix: the exists-side keys, read as text and typed value.
     struct Witness {
-      std::string key;
+      uint32_t key;
       const Value* value;
       uint32_t line;
     };
     ArenaVector<Witness> witnesses{ArenaAllocator<Witness>(&task_arena)};
-    witnesses.reserve(64);
-    // Equality fast path: key -> (match count, line of the sole witness).
-    // Reused across (contract, config) pairs; Clear() keeps the capacity.
-    FlatMap<std::string, std::pair<uint32_t, uint32_t>> eq_witnesses;
-
-    auto violate = [&](size_t ci, size_t contract_index, int line_number,
-                       std::string message) {
-      bucket[ci].push_back(Violation{contract_index, indexes[ci]->config->name,
-                                     line_number, std::move(message)});
-    };
-
-    // Per-contract cursor into its (ordinal-sorted) postings list; each tile
-    // consumes the postings whose ordinal falls inside it, in order.
-    ArenaVector<size_t> cursor{ArenaAllocator<size_t>(&task_arena)};
-    cursor.resize(range_end - range_begin, 0);
 
     int timed_kind = -1;
     uint64_t mark = trace_on ? tracer.NowMicros() : 0;
-    for (size_t tile_begin = 0; tile_begin < n; tile_begin += kTileConfigs) {
-    const size_t tile_end =
-        tile_begin + kTileConfigs < n ? tile_begin + kTileConfigs : n;
-    for (size_t k = range_begin; k < range_end; ++k) {
-      // One contract now covers a whole tile, so poll the deadline at contract
-      // granularity (every 16 is comparable to the old per-config cadence of
-      // 256 contracts).
-      if (((k - range_begin) & 15u) == 15u && deadline.expired()) {
-        deadline_hit.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const Contract& c = set_->contracts[k];
-      if (pruned(k)) {
-        continue;
-      }
-      if (trace_on && static_cast<int>(c.kind) != timed_kind) {
-        uint64_t now = tracer.NowMicros();
-        if (timed_kind >= 0) {
-          kind_micros[static_cast<size_t>(timed_kind)].fetch_add(
-              now - mark, std::memory_order_relaxed);
+    for (size_t ci = tile_begin; ci < tile_end; ++ci) {
+      const ConfigIndex& index = *indexes[ci];
+      keys.Reset();
+      for (size_t k = k_begin; k < k_end; ++k) {
+        if (((k - k_begin) & 15u) == 15u && deadline.expired()) {
+          deadline_hit.store(true, std::memory_order_relaxed);
+          return;
         }
-        mark = now;
-        timed_kind = static_cast<int>(c.kind);
-      }
-      switch (c.kind) {
-        case ContractKind::kType:
-          break;  // Handled in the line pass above.
+        const Contract& c = set_->contracts[k];
+        // Type contracts ran in the line pass above; unique runs globally below.
+        if (pruned(k) || c.kind == ContractKind::kType || c.kind == ContractKind::kUnique) {
+          continue;
+        }
+        if (trace_on && static_cast<int>(c.kind) != timed_kind) {
+          uint64_t now = tracer.NowMicros();
+          if (timed_kind >= 0) {
+            kind_micros[static_cast<size_t>(timed_kind)].fetch_add(
+                now - mark, std::memory_order_relaxed);
+          }
+          mark = now;
+          timed_kind = static_cast<int>(c.kind);
+        }
+        // This config's occurrences of the contract's forall pattern, if any.
+        const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
+        size_t& pi = cursor[k - k_begin];
+        const std::vector<uint32_t>* occ = nullptr;
+        if (pi < ps.size() && ps[pi].ordinal == ci) {
+          occ = ps[pi].occ;
+          ++pi;
+        }
+        if (c.kind == ContractKind::kPresent) {
+          if (occ == nullptr) {
+            violate(ci, k, 0, "missing line matching pattern " + table_->Get(c.pattern).text);
+          } else if (measure_coverage && occ->size() == 1) {
+            MarkCovered(cover[ci], index, (*occ)[0], CoverageKind::kPresent);
+          }
+          continue;
+        }
+        if (occ == nullptr) {
+          continue;  // Vacuous in this config.
+        }
 
-        case ContractKind::kUnique:
-          break;  // Handled globally below.
-
-        case ContractKind::kPresent: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          size_t& pi = cursor[k - range_begin];
-          if (ps.size() == n) {
-            // Every config has the pattern: coverage-only walk, no message.
-            if (measure_coverage) {
-              for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-                const Posting& p = ps[pi];
-                if (p.occ->size() == 1) {
-                  MarkCovered(cover[p.ordinal], *indexes[p.ordinal], (*p.occ)[0],
-                              CoverageKind::kPresent);
-                }
-              }
-            }
+        switch (c.kind) {
+          case ContractKind::kType:
+          case ContractKind::kUnique:
+          case ContractKind::kPresent:
             break;
-          }
-          // Complement walk: postings are in batch order, so one merge pass
-          // finds the configs where the pattern is absent (the violators).
-          std::string missing =
-              "missing line matching pattern " + table_->Get(c.pattern).text;
-          for (size_t ci = tile_begin; ci < tile_end; ++ci) {
-            if (pi < ps.size() && ps[pi].ordinal == ci) {
-              const std::vector<uint32_t>& occ = *ps[pi].occ;
-              ++pi;
-              if (measure_coverage && occ.size() == 1) {
-                MarkCovered(cover[ci], *indexes[ci], occ[0], CoverageKind::kPresent);
-              }
-            } else {
-              violate(ci, k, 0, missing);
-            }
-          }
-          break;
-        }
 
-        case ContractKind::kOrdering: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          if (ps.empty()) {
-            break;  // Vacuous everywhere.
-          }
-          const bool stream_constant = table_->Get(c.pattern).is_constant;
-          // The message is identical for every violating line of every config;
-          // built at most once per contract and tile.
-          std::string message;
-          size_t& pi = cursor[k - range_begin];
-          for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-            const Posting& p = ps[pi];
-            const size_t ci = p.ordinal;
-            const ConfigIndex& index = *indexes[ci];
-            for (uint32_t i : *p.occ) {
+          case ContractKind::kOrdering: {
+            const bool stream_constant = table_->Get(c.pattern).is_constant;
+            auto pattern_at = [&](uint32_t line) {
+              return stream_constant ? index.lines[line]->const_pattern
+                                     : index.lines[line]->pattern;
+            };
+            for (uint32_t i : *occ) {
               if (i >= index.own_line_count) {
                 continue;  // Metadata has no meaningful adjacency.
               }
@@ -476,64 +525,48 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
                 in_range = i > 0;
                 j = in_range ? i - 1 : 0;
               }
-              PatternId neighbor = kInvalidPattern;
-              if (in_range) {
-                neighbor = stream_constant ? index.lines[j]->const_pattern
-                                           : index.lines[j]->pattern;
-              }
+              PatternId neighbor = in_range ? pattern_at(j) : kInvalidPattern;
               if (neighbor != c.pattern2) {
-                if (message.empty()) {
-                  message = std::string("line is not immediately ") +
+                violate(ci, k, index.lines[i]->line_number,
+                        std::string("line is not immediately ") +
                             (c.successor ? "followed" : "preceded") +
-                            " by a line matching " + table_->Get(c.pattern2).text;
-                }
-                violate(ci, k, index.lines[i]->line_number, message);
+                            " by a line matching " + table_->Get(c.pattern2).text);
               } else if (measure_coverage) {
                 // Strict removal semantics: removing the witness j only violates the
                 // contract if the line sliding into its place does NOT also match p2.
                 PatternId replacement = kInvalidPattern;
                 if (c.successor) {
                   if (j + 1 < index.own_line_count) {
-                    replacement = stream_constant ? index.lines[j + 1]->const_pattern
-                                                  : index.lines[j + 1]->pattern;
+                    replacement = pattern_at(j + 1);
                   }
                 } else if (j > 0) {
-                  replacement = stream_constant ? index.lines[j - 1]->const_pattern
-                                                : index.lines[j - 1]->pattern;
+                  replacement = pattern_at(j - 1);
                 }
                 if (replacement != c.pattern2) {
                   MarkCovered(cover[ci], index, j, CoverageKind::kOrdering);
                 }
               }
             }
+            break;
           }
-          break;
-        }
 
-        case ContractKind::kSequence: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          size_t& pi = cursor[k - range_begin];
-          for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-            const Posting& p = ps[pi];
-            const size_t ci = p.ordinal;
-            const ConfigIndex& index = *indexes[ci];
-            const std::vector<uint32_t>& occ = *p.occ;
-            if (occ.size() < 2) {
-              continue;
+          case ContractKind::kSequence: {
+            if (occ->size() < 2) {
+              break;
             }
             bool holds = true;
             bool have_step = false;
             BigInt step;
             int direction = 0;
-            for (size_t m = 1; m < occ.size(); ++m) {
-              const BigInt& prev = index.lines[occ[m - 1]]->values[c.param].AsBigInt();
-              const BigInt& cur = index.lines[occ[m]]->values[c.param].AsBigInt();
+            for (size_t m = 1; m < occ->size(); ++m) {
+              const BigInt& prev = index.lines[(*occ)[m - 1]]->values[c.param].AsBigInt();
+              const BigInt& cur = index.lines[(*occ)[m]]->values[c.param].AsBigInt();
               int dir = cur.Compare(prev);
               BigInt diff = cur.AbsDiff(prev);
               bool ok = dir != 0 && (!have_step || (diff == step && dir == direction));
               if (!ok) {
                 holds = false;
-                violate(ci, k, index.lines[occ[m]]->line_number,
+                violate(ci, k, index.lines[(*occ)[m]]->line_number,
                         "breaks the equidistant sequence of parameter " +
                             PatternTable::ParamName(c.param) + " (value " +
                             cur.ToDecimal() + ")");
@@ -545,166 +578,118 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
                 have_step = true;
               }
             }
-            if (holds && measure_coverage && occ.size() >= 4) {
-              for (size_t m = 1; m + 1 < occ.size(); ++m) {
-                MarkCovered(cover[ci], index, occ[m], CoverageKind::kSequence);
-              }
-            }
-          }
-          break;
-        }
-
-        case ContractKind::kRelational: {
-          const ArenaVector<Posting>& ps = postings[contract_slot_[k]];
-          if (ps.empty()) {
-            break;  // Vacuous everywhere.
-          }
-          // Shared message prefix (the value is per-violation), built at most
-          // once per contract.
-          std::string prefix;
-          // Equality holds iff the transformed canonical keys match, so the
-          // witness list collapses into a hash table probed per forall line:
-          // O(occ1 + occ2) per config instead of the linear witness scan's
-          // O(occ1 * occ2). Order-sensitive output (violations per occurrence,
-          // sole-witness coverage) is unchanged: the table records the match
-          // count and the sole witness line, which is all the scan ever used.
-          size_t& pi = cursor[k - range_begin];
-          if (c.relation == RelationKind::kEquals) {
-            for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-              const Posting& p = ps[pi];
-              const size_t ci = p.ordinal;
-              const ConfigIndex& index = *indexes[ci];
-              eq_witnesses.clear();
-              auto it2 = index.by_pattern.find(c.pattern2);
-              if (it2 != index.by_pattern.end()) {
-                for (uint32_t j : it2->second) {
-                  const ParsedLine& l2 = *index.lines[j];
-                  if (c.param2 >= l2.values.size()) {
-                    continue;
-                  }
-                  auto key2 = c.transform2.Apply(l2.values[c.param2]);
-                  if (key2) {
-                    auto [slot, inserted] = eq_witnesses.TryEmplace(
-                        std::move(*key2), std::make_pair(uint32_t{1}, j));
-                    if (!inserted) {
-                      ++slot->first;
-                    }
-                  }
-                }
-              }
-              for (uint32_t i : *p.occ) {
-                const ParsedLine& l1 = *index.lines[i];
-                if (c.param >= l1.values.size()) {
-                  continue;
-                }
-                auto key1 = c.transform1.Apply(l1.values[c.param]);
-                if (!key1) {
-                  continue;
-                }
-                auto hit = eq_witnesses.find(*key1);
-                if (hit == eq_witnesses.end()) {
-                  if (prefix.empty()) {
-                    prefix = "no line matching " + table_->Get(c.pattern2).text +
-                             " satisfies " +
-                             std::string(RelationKindName(c.relation)) +
-                             " with value ";
-                  }
-                  violate(ci, k, l1.line_number,
-                          prefix + l1.values[c.param].ToString());
-                } else if (hit->second.first == 1 && measure_coverage &&
-                           hit->second.second != i) {
-                  // An intra-line witness disappears together with the forall
-                  // line (vacuous), so it cannot count as coverage.
-                  auto kind = CoverageKindOf(c);
-                  if (kind) {
-                    MarkCovered(cover[ci], index, hit->second.second, *kind);
-                  }
-                }
+            if (holds && measure_coverage && occ->size() >= 4) {
+              for (size_t m = 1; m + 1 < occ->size(); ++m) {
+                MarkCovered(cover[ci], index, (*occ)[m], CoverageKind::kSequence);
               }
             }
             break;
           }
-          for (; pi < ps.size() && ps[pi].ordinal < tile_end; ++pi) {
-            const Posting& p = ps[pi];
-            const size_t ci = p.ordinal;
-            const ConfigIndex& index = *indexes[ci];
-            // Witness key/value list for the exists side, computed once per config.
-            witnesses.clear();
+
+          case ContractKind::kRelational: {
+            // Both sides' keys come from the config's shared key table: each
+            // (pattern, param, transform) is rendered once per config, whichever
+            // contract asks first.
             auto it2 = index.by_pattern.find(c.pattern2);
-            if (it2 != index.by_pattern.end()) {
-              for (uint32_t j : it2->second) {
-                const ParsedLine& l2 = *index.lines[j];
-                if (c.param2 >= l2.values.size()) {
+            const std::vector<uint32_t>* occ2 =
+                it2 == index.by_pattern.end() ? nullptr : &it2->second;
+            const uint32_t run1 = keys.Run(index, c.pattern, c.param, c.transform1, *occ);
+            const uint32_t run2 =
+                occ2 == nullptr ? 0 : keys.Run(index, c.pattern2, c.param2, c.transform2, *occ2);
+            const uint32_t* ids1 = keys.ids() + run1;
+            const uint32_t* ids2 = keys.ids() + run2;
+            const size_t occ2_size = occ2 == nullptr ? 0 : occ2->size();
+            const std::optional<CoverageKind> cover_kind = CoverageKindOf(c);
+
+            if (c.relation == RelationKind::kEquals) {
+              // Equality holds iff the key ids match, so the witnesses collapse
+              // into a dense tally per id: O(occ1 + occ2) per config. The tally
+              // keeps the match count and the first (sole) witness line, which is
+              // all the violation and sole-witness coverage rules read.
+              if (tally.size() < keys.size()) {
+                tally.resize(keys.size());
+              }
+              for (size_t m = 0; m < occ2_size; ++m) {
+                if (ids2[m] != kNoKey && tally[ids2[m]].count++ == 0) {
+                  tally[ids2[m]].line = (*occ2)[m];
+                }
+              }
+              for (size_t m = 0; m < occ->size(); ++m) {
+                if (ids1[m] == kNoKey) {
                   continue;
                 }
-                auto key2 = c.transform2.Apply(l2.values[c.param2]);
-                if (key2) {
-                  witnesses.push_back(Witness{std::move(*key2), &l2.values[c.param2], j});
+                const uint32_t i = (*occ)[m];
+                const Tally& hit = tally[ids1[m]];
+                if (hit.count == 0) {
+                  violate_relation(ci, k, c, *index.lines[i]);
+                } else if (hit.count == 1 && measure_coverage && hit.line != i && cover_kind) {
+                  // An intra-line witness disappears together with the forall
+                  // line (vacuous), so it cannot count as coverage.
+                  MarkCovered(cover[ci], index, hit.line, *cover_kind);
                 }
               }
+              for (size_t m = 0; m < occ2_size; ++m) {
+                if (ids2[m] != kNoKey) {
+                  tally[ids2[m]].count = 0;
+                }
+              }
+              break;
             }
-            for (uint32_t i : *p.occ) {
+
+            witnesses.clear();
+            for (size_t m = 0; m < occ2_size; ++m) {
+              if (ids2[m] != kNoKey) {
+                const uint32_t j = (*occ2)[m];
+                witnesses.push_back(Witness{ids2[m], &index.lines[j]->values[c.param2], j});
+              }
+            }
+            for (size_t m = 0; m < occ->size(); ++m) {
+              if (ids1[m] == kNoKey) {
+                continue;
+              }
+              const uint32_t i = (*occ)[m];
               const ParsedLine& l1 = *index.lines[i];
-              if (c.param >= l1.values.size()) {
-                continue;
-              }
-              auto key1 = c.transform1.Apply(l1.values[c.param]);
-              if (!key1) {
-                continue;
-              }
+              const std::string_view key1 = keys.Text(ids1[m]);
               uint32_t sole_witness = 0;
               int found = 0;
               for (const Witness& w : witnesses) {
-                if (w.line != i &&
-                    RelationHolds(c, *key1, l1.values[c.param], w.key, *w.value)) {
+                // An intra-line witness (another parameter of the same line)
+                // counts too.
+                if (RelationHolds(c, key1, l1.values[c.param], keys.Text(w.key), *w.value)) {
                   ++found;
                   sole_witness = w.line;
                   if (found > 1 && !measure_coverage) {
                     break;
                   }
-                } else if (w.line == i &&
-                           RelationHolds(c, *key1, l1.values[c.param], w.key, *w.value)) {
-                  // Intra-line witness (different parameter of the same line).
-                  ++found;
-                  sole_witness = w.line;
                 }
               }
               if (found == 0) {
-                if (prefix.empty()) {
-                  prefix = "no line matching " + table_->Get(c.pattern2).text +
-                           " satisfies " + std::string(RelationKindName(c.relation)) +
-                           " with value ";
-                }
-                violate(ci, k, l1.line_number, prefix + l1.values[c.param].ToString());
-              } else if (found == 1 && measure_coverage && sole_witness != i) {
+                violate_relation(ci, k, c, l1);
+              } else if (found == 1 && measure_coverage && sole_witness != i && cover_kind) {
                 // An intra-line witness disappears together with the forall line
                 // (vacuous), so it cannot count as coverage.
-                auto kind = CoverageKindOf(c);
-                if (kind) {
-                  MarkCovered(cover[ci], index, sole_witness, *kind);
-                }
+                MarkCovered(cover[ci], index, sole_witness, *cover_kind);
               }
             }
+            break;
           }
-          break;
         }
       }
     }
-    }  // Tile loop.
     if (trace_on && timed_kind >= 0) {
       kind_micros[static_cast<size_t>(timed_kind)].fetch_add(
           tracer.NowMicros() - mark, std::memory_order_relaxed);
     }
   };
 
-  // Dispatch: the two waves (config-major type pass, contract-major ranges)
-  // share one pool. CheckBatch stays serial-outer precisely so these inner
-  // waves never nest inside a pool worker.
+  // Dispatch: the two waves (config-major type pass, the scan grid) share one
+  // pool. CheckBatch stays serial-outer precisely so these inner waves never
+  // nest inside a pool worker.
   const bool parallel_types = parallel && !type_rules_.empty() && n > 1;
-  const bool parallel_ranges = parallel && ranges.size() > 1;
+  const bool parallel_tasks = parallel && num_tasks > 1;
   ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned_pool;
-  if ((parallel_types || parallel_ranges) && pool == nullptr) {
+  if ((parallel_types || parallel_tasks) && pool == nullptr) {
     owned_pool = std::make_unique<ThreadPool>(
         options.parallelism < 0 ? 0 : static_cast<size_t>(options.parallelism));
     pool = owned_pool.get();
@@ -718,30 +703,31 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
       }
     }
   }
-  if (parallel_ranges) {
-    pool->ParallelFor(ranges.size(), check_range);
+  if (parallel_tasks) {
+    pool->ParallelFor(num_tasks, run_task);
   } else {
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      check_range(r);
+    for (size_t t = 0; t < num_tasks; ++t) {
+      run_task(t);
     }
   }
   if (deadline_hit.load(std::memory_order_relaxed)) {
     throw DeadlineExceeded();
   }
 
-  // Merge in the exact order the config-major scan used to emit: per config,
-  // type violations first, then the contract ranges ascending (each bucket is
-  // already in ascending contract order). Byte-identity with sequential
-  // checking depends on this.
+  // Merge in the order a serial config-by-config scan emits: per config, type
+  // violations first, then the chunks of its tile ascending (each task's
+  // violations are already in config, then contract order). Byte identity
+  // across parallelism levels depends on this.
+  std::vector<size_t> next(num_tasks, 0);
   for (size_t ci = 0; ci < n; ++ci) {
     for (Violation& v : type_violations[ci]) {
       result.violations.push_back(std::move(v));
     }
-    for (auto& bucket : range_violations) {
-      if (ci < bucket.size()) {
-        for (Violation& v : bucket[ci]) {
-          result.violations.push_back(std::move(v));
-        }
+    const size_t first_task = (ci / kCheckTileConfigs) * chunks;
+    for (size_t t = first_task; t < first_task + chunks; ++t) {
+      TaskViolations& found = task_violations[t];
+      for (size_t& i = next[t]; i < found.ordinals.size() && found.ordinals[i] == ci; ++i) {
+        result.violations.push_back(std::move(found.violations[i]));
       }
     }
   }

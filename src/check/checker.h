@@ -115,6 +115,10 @@ struct CheckResult {
 
 class ThreadPool;
 
+// Configs per tile of the scan grid (DESIGN.md §12). A batch of more configs
+// than this splits its scan by tile.
+inline constexpr size_t kCheckTileConfigs = 32;
+
 // Per-call knobs of a check run. A Checker is immutable after construction, so
 // one instance can serve concurrent requests as long as each passes its own
 // CheckOptions (the service caches a Checker per loaded contract set).
@@ -127,10 +131,11 @@ struct CheckOptions {
   // surface in another's Wait()).
   Deadline deadline;
 
-  // Shards the contract-major scan across worker threads (1 = serial, 0 or
-  // negative = hardware concurrency). When `pool` is given it is used instead
-  // of spawning a fresh pool (the service reuses one pool across requests); it
-  // must outlive the call.
+  // Runs the scan grid's tasks (config tiles x contract chunks) on worker
+  // threads (1 = serial, 0 or negative = hardware concurrency). When `pool` is
+  // given it is used instead of spawning a fresh pool (the service reuses one
+  // pool across requests); it must outlive the call. The output bytes do not
+  // depend on it.
   int parallelism = 1;
   ThreadPool* pool = nullptr;
 
@@ -157,12 +162,17 @@ class Checker {
   // span, polling options.deadline), then runs the scan below over them.
   CheckResult Check(const Dataset& dataset, const CheckOptions& options = {}) const;
 
-  // The batch-first core (DESIGN.md §12): a contract-major scan that walks the
-  // contract set once, evaluating each contract against all N configs from a
-  // postings table built by a single pass over the batch's pre-built indexes —
-  // the artifact pipeline's Index stage (ArtifactStore, or the service's index
-  // cache) — with scratch carved from bump arenas. The indexes must outlive
-  // the call.
+  // The batch-first core (DESIGN.md §12): a scan over a grid of config tiles
+  // x contract chunks. A batch of many tiles runs one task per tile over the
+  // whole contract set; a batch of few tiles (a serve request is one) also
+  // cuts the contracts into count-cut chunks. Each task walks its tile one
+  // config at a time, finds each contract's occurrences in a postings table
+  // built by a single pass over the batch's pre-built indexes — the artifact
+  // pipeline's Index stage (ArtifactStore, or the service's index cache) — and
+  // renders each relational key once per config into a key table every
+  // contract of the task shares. Violations merge per config in contract
+  // order, so every parallelism gives the same bytes. The indexes must
+  // outlive the call.
   CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
                     const CheckOptions& options) const;
 

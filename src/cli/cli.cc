@@ -456,13 +456,10 @@ bool ReadContractSource(const ArgParser& args, const Lexer* lexer, ContractSourc
   }
   const uint64_t lexer_key = lexer != nullptr ? lexer->DefinitionsKey() : preview->lexer_key;
   if (preview->lexer_key != lexer_key) {
-    auto describe = [](uint64_t key) {
-      return key == 0 ? std::string("the built-in lexer")
-                      : "lexer definitions " + std::to_string(key);
-    };
     err << "error: lexer mismatch: the contract set was learned with "
-        << describe(preview->lexer_key) << ", but this run lexes with "
-        << describe(lexer_key) << "; pass the --lexer file the set was learned with\n";
+        << Lexer::DescribeKey(preview->lexer_key) << ", but this run lexes with "
+        << Lexer::DescribeKey(lexer_key)
+        << "; pass the --lexer file the set was learned with\n";
     return false;
   }
   source->embed = preview->embed_context && !args.GetBool("no-embedding");

@@ -442,22 +442,23 @@ void RunServeIdentityOracle(const GeneratedCorpus& corpus,
   }
 }
 
-// ---- Oracle 3: analyzer total-ness and subsumption-prune identity -----------
-//
-// The analyzer must terminate cleanly on whatever the fuzzed corpus learns
-// (any exception triages as crash, deadline expiry as timeout), and its
-// prunable mask must be safe to hand to the checker: a coverage-off pruned
-// check flags exactly the configs the unpruned check flags, its violations
-// are exactly the unpruned run's minus the pruned contracts' own, and on a
-// clean corpus the two report JSONs are byte-identical.
-void RunAnalyzePruneOracle(const GeneratedCorpus& corpus,
-                           const OracleOptions& options, const Deadline& deadline) {
+// ---- The corpus learned once for the check-side oracles 3 and 4 ------------
+
+struct LearnedCorpus {
+  Dataset dataset;
+  ContractSet set;
+  std::vector<ConfigIndex> indexes;  // Point into `dataset`.
+  std::vector<const ConfigIndex*> index_ptrs;
+};
+
+void LearnCorpus(const GeneratedCorpus& corpus, const OracleOptions& options,
+                 const Deadline& deadline, LearnedCorpus* out) {
   ParseOptions parse_options;
   LearnOptions learn_options;
   learn_options.support = options.support;
   learn_options.deadline = deadline;
   Lexer lexer;
-  Dataset dataset;
+  Dataset& dataset = out->dataset;
   ConfigParser parser(&lexer, &dataset.patterns, parse_options);
   for (const GeneratedConfig& config : corpus.configs) {
     dataset.configs.push_back(parser.Parse(config.name, config.text));
@@ -467,16 +468,28 @@ void RunAnalyzePruneOracle(const GeneratedCorpus& corpus,
     std::vector<ParsedLine> lines = parser.ParseMetadata(doc.text);
     dataset.metadata.insert(dataset.metadata.end(), lines.begin(), lines.end());
   }
-  Learner learner(learn_options);
-  LearnResult learned = learner.Learn(dataset);
+  out->set = Learner(learn_options).Learn(dataset).set;
   ThrowIfExpired(deadline);
 
-  std::vector<ConfigIndex> indexes = BuildIndexes(dataset, &deadline);
-  std::vector<const ConfigIndex*> index_ptrs;
-  index_ptrs.reserve(indexes.size());
-  for (const ConfigIndex& index : indexes) {
-    index_ptrs.push_back(&index);
+  out->indexes = BuildIndexes(dataset, &deadline);
+  out->index_ptrs.reserve(out->indexes.size());
+  for (const ConfigIndex& index : out->indexes) {
+    out->index_ptrs.push_back(&index);
   }
+}
+
+// ---- Oracle 3: analyzer total-ness and subsumption-prune identity -----------
+//
+// The analyzer must terminate cleanly on whatever the fuzzed corpus learns
+// (any exception triages as crash, deadline expiry as timeout), and its
+// prunable mask must be safe to hand to the checker: a coverage-off pruned
+// check flags exactly the configs the unpruned check flags, its violations
+// are exactly the unpruned run's minus the pruned contracts' own, and on a
+// clean corpus the two report JSONs are byte-identical.
+void RunAnalyzePruneOracle(const LearnedCorpus& learned, const OracleOptions& options,
+                           const Deadline& deadline) {
+  const Dataset& dataset = learned.dataset;
+  const std::vector<const ConfigIndex*>& index_ptrs = learned.index_ptrs;
 
   // Total-ness: every pass, with the dead-pattern sub-pass fed real postings.
   AnalyzeOptions analyze_options;
@@ -552,6 +565,36 @@ void RunAnalyzePruneOracle(const GeneratedCorpus& corpus,
   ThrowIfExpired(deadline);
 }
 
+// ---- Oracle 4: parallel check identity --------------------------------------
+//
+// The check half of the parallel_identity oracle: the scan grid (config tiles
+// x contract chunks) and the per-task key tables must not show in the output.
+// A coverage-on check at `parallelism` renders the report and per-line
+// coverage bytes of the serial check.
+void RunParallelIdentityOracle(const LearnedCorpus& learned, int parallelism,
+                               const OracleOptions& options, const Deadline& deadline) {
+  Checker checker(&learned.set, &learned.dataset.patterns);
+  auto rendered = [&](int workers) {
+    CheckOptions check_options;
+    check_options.deadline = deadline;
+    check_options.parallelism = workers;
+    CheckResult result = checker.Check(learned.index_ptrs, check_options);
+    return ReportJson(result, learned.set, learned.dataset.patterns) + CoverageReportText(result);
+  };
+  const std::string serial = rendered(1);
+  std::string parallel = rendered(parallelism);
+  if (options.hooks.perturb_parallel_report) {
+    options.hooks.perturb_parallel_report(&parallel);
+  }
+  if (parallel != serial) {
+    throw OracleMismatch{"parallel_identity",
+                         "check at parallelism " + std::to_string(parallelism) +
+                             " renders other bytes than the serial check (" +
+                             std::to_string(parallel.size()) + " vs " +
+                             std::to_string(serial.size()) + " bytes)"};
+  }
+}
+
 }  // namespace
 
 std::string_view TriageBucketName(TriageBucket bucket) {
@@ -575,7 +618,11 @@ TriageResult RunOracles(const GeneratedCorpus& corpus, const OracleOptions& opti
   try {
     RunLearnIdentityOracle(corpus, options, deadline);
     RunServeIdentityOracle(corpus, options, deadline);
-    RunAnalyzePruneOracle(corpus, options, deadline);
+    LearnedCorpus learned;
+    LearnCorpus(corpus, options, deadline, &learned);
+    RunAnalyzePruneOracle(learned, options, deadline);
+    RunParallelIdentityOracle(learned, 2 + static_cast<int>(CorpusFingerprint(corpus) % 6),
+                              options, deadline);
   } catch (const OracleMismatch& mismatch) {
     result.bucket = TriageBucket::kMismatch;
     result.oracle = mismatch.oracle;
@@ -701,6 +748,9 @@ CampaignResult RunFuzzCampaign(const GeneratorRegistry& registry,
     try {
       GeneratedCorpus corpus = BuildFuzzCorpus(registry, spec);
       fingerprint = CorpusFingerprint(corpus);
+      if (corpus.configs.size() > kCheckTileConfigs) {
+        ++result.multi_tile;
+      }
       triage = RunOracles(corpus, options.oracle);
     } catch (const std::exception& e) {
       triage.bucket = TriageBucket::kCrash;

@@ -1,6 +1,6 @@
 // Differential-testing harness over fuzz corpora (DESIGN.md §13).
 //
-// Every corpus a FuzzCaseSpec produces is run through four oracles:
+// Every corpus a FuzzCaseSpec produces is run through five oracles:
 //
 //   1. learn identity    — incremental learn (ArtifactStore) must produce the
 //                          contract JSON byte-identical to a from-scratch
@@ -14,7 +14,10 @@
 //                          coverage-off check with its subsumption prune mask
 //                          must flag exactly the same configs as the unpruned
 //                          check — byte-identically when the corpus is clean;
-//   4. never crash/hang  — the whole pipeline runs under a deadline; any
+//   4. parallel identity — checking the learned set at a parallelism k in
+//                          2..7, drawn from the corpus fingerprint, renders
+//                          the report and coverage bytes of the serial check;
+//   5. never crash/hang  — the whole pipeline runs under a deadline; any
 //                          exception is a crash, deadline expiry is a timeout.
 //
 // Failures are triaged into crash/mismatch/timeout buckets; the campaign
@@ -56,6 +59,9 @@ struct OracleHooks {
   // Runs over the subsumption-pruned check's report bytes before comparison
   // with the unpruned check (the analyze_prune oracle).
   std::function<void(std::string*)> perturb_pruned_report;
+  // Runs over the parallel check's report and coverage bytes before comparison
+  // with the serial check (the parallel_identity oracle).
+  std::function<void(std::string*)> perturb_parallel_report;
 };
 
 struct OracleOptions {
@@ -79,8 +85,8 @@ struct OracleOptions {
 struct TriageResult {
   TriageBucket bucket = TriageBucket::kClean;
   std::string oracle;  // "learn_identity", "serve_identity", "batch_identity",
-                       // "analyze_prune", or "pipeline" (crash/timeout site) —
-                       // empty when clean.
+                       // "analyze_prune", "parallel_identity", or "pipeline"
+                       // (crash/timeout site) — empty when clean.
   std::string detail;
 };
 
@@ -117,6 +123,9 @@ struct CampaignResult {
   int crashes = 0;
   int mismatches = 0;
   int timeouts = 0;
+  // Cases whose corpus spans more than one tile of the checker's scan grid,
+  // where the parallel_identity oracle exercises the tile split.
+  int multi_tile = 0;
   std::vector<FailureRecord> failures;
   // FNV-1a over every case's (identity, corpus fingerprint, bucket, oracle) —
   // two campaigns with the same seed and knobs must agree on this exactly,

@@ -23,7 +23,7 @@ struct ConfigIndex {
 
   // Line indices per pattern id; includes constant patterns when present.
   // Flat open-addressing (hash iteration order): miners sort what they emit and
-  // the checker walks patterns contract-major, so order never matters.
+  // the checker reads it through its postings table, so order never matters.
   FlatMap<PatternId, std::vector<uint32_t>> by_pattern;
 
   bool ContainsPattern(PatternId id) const { return by_pattern.count(id) > 0; }

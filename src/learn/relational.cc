@@ -8,6 +8,7 @@
 #include "src/util/trace.h"
 
 #include "src/relations/affix_trie.h"
+#include "src/relations/key_interner.h"
 #include "src/relations/param_ref.h"
 #include "src/relations/prefix_trie.h"
 #include "src/relations/score.h"
@@ -68,11 +69,12 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
   // ---- Pass 1: render every key once and build the relation-finding structures.
   // Records of value v (the param-th value of line li is v = value_begin[li] +
   // param) are records[record_begin[v], record_begin[v + 1]), identity first.
+  // Equal key texts share one interned id, which is the equality bucket and the
+  // witness identity alike.
   std::vector<KeyRecord> records;
   std::vector<uint32_t> record_begin;
   std::vector<uint32_t> value_begin(num_lines + 1, 0);
-  std::string key_text;
-  std::vector<uint32_t> key_end;  // Record r's key is key_text[key_end[r-1], key_end[r]).
+  KeyInterner texts;
   PrefixTrie pfx;
   AffixTrie fwd(/*reversed=*/false);
   AffixTrie rev(/*reversed=*/true);
@@ -90,9 +92,8 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
         if (!key) {
           continue;
         }
-        key_text += *key;
-        key_end.push_back(static_cast<uint32_t>(key_text.size()));
-        records.push_back(KeyRecord{PackRelationalNode(line.pattern, param, t), 0});
+        records.push_back(KeyRecord{PackRelationalNode(line.pattern, param, t),
+                                    texts.Intern(*key)});
         // Zero-informativeness keys never witness anything (§3.5).
         if (t == IdTransform() && key->size() >= 2 && KeyScore(*key) > 0.0) {
           ParamRef ref{line.pattern, param, t, li};
@@ -110,24 +111,10 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
   value_begin[num_lines] = static_cast<uint32_t>(record_begin.size());
   record_begin.push_back(static_cast<uint32_t>(records.size()));
 
-  // Intern the key texts: equal texts share one id, which is the equality bucket
-  // and the witness identity alike.
-  std::vector<std::string_view> texts;
-  std::vector<double> text_score;
-  {
-    FlatMap<std::string_view, uint32_t> ids;
-    ids.reserve(records.size());
-    uint32_t begin = 0;
-    for (size_t r = 0; r < records.size(); ++r) {
-      std::string_view text(key_text.data() + begin, key_end[r] - begin);
-      begin = key_end[r];
-      auto [id, inserted] = ids.TryEmplace(text, static_cast<uint32_t>(texts.size()));
-      if (inserted) {
-        texts.push_back(text);
-        text_score.push_back(KeyScore(text));
-      }
-      records[r].text = *id;
-    }
+  const uint32_t num_texts = texts.size();
+  std::vector<double> text_score(num_texts);
+  for (uint32_t id = 0; id < num_texts; ++id) {
+    text_score[id] = KeyScore(texts.Text(id));
   }
   auto value_of = [&](uint32_t line, uint16_t param) { return value_begin[line] + param; };
   // The identity record of value v: its key is the value's canonical text.
@@ -136,17 +123,17 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
   // Equality buckets: the distinct nodes whose key is each text, in record order.
   // Zero-informativeness keys join no bucket. A bucket that reaches
   // kMaxBucketNodes + 1 nodes is noise and skipped.
-  std::vector<uint32_t> bucket_begin(texts.size() + 1, 0);
+  std::vector<uint32_t> bucket_begin(num_texts + 1, 0);
   for (const KeyRecord& rec : records) {
     if (text_score[rec.text] > 0.0) {
       ++bucket_begin[rec.text + 1];
     }
   }
-  for (size_t b = 0; b < texts.size(); ++b) {
+  for (size_t b = 0; b < num_texts; ++b) {
     bucket_begin[b + 1] += bucket_begin[b];
   }
   std::vector<uint64_t> bucket_nodes(bucket_begin.back());
-  std::vector<uint32_t> bucket_size(texts.size(), 0);
+  std::vector<uint32_t> bucket_size(num_texts, 0);
   for (const KeyRecord& rec : records) {
     if (text_score[rec.text] <= 0.0) {
       continue;
@@ -168,7 +155,7 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
   std::vector<MarkState> candidates;
   std::vector<uint64_t> hit_lines;
   FlatMap<uint64_t, bool> kept;                       // (candidate, text) pairs kept.
-  std::vector<uint32_t> pooled(texts.size(), kNone);  // Text id -> summary witness id.
+  std::vector<uint32_t> pooled(num_texts, kNone);  // Text id -> summary witness id.
   out->witness_offsets.push_back(0);
   std::vector<PrefixTrie::Hit> pfx_hits;
   std::vector<AffixTrie::Hit> affix_hits;
@@ -179,7 +166,7 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
     }
     if (pooled[text] == kNone) {
       pooled[text] = static_cast<uint32_t>(out->num_witness_texts());
-      out->witness_text += texts[text];
+      out->witness_text += texts.Text(text);
       out->witness_offsets.push_back(static_cast<uint32_t>(out->witness_text.size()));
     }
     out->witnesses.push_back(RelationalWitness{id, pooled[text], static_cast<float>(score)});
@@ -278,7 +265,7 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
       // Affix candidates (identity transform only). A hit h is a proper affix of
       // this value's key k; that yields candidates in both quantification orders.
       // The shared affix is the hit's own key, so it is the witness.
-      std::string_view key = texts[id_text(v)];
+      std::string_view key = texts.Text(id_text(v));
       if (key.size() < 2) {
         continue;
       }

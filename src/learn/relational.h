@@ -5,9 +5,11 @@
 // carry. Concord instead discovers candidates from *actual matches*:
 //
 //   Pass 1 (per configuration): render every (line, param, transform) key once into
-//   one text buffer and intern equal texts to one id. An id is both an equality
-//   bucket, whose distinct nodes are listed once, and a witness identity. Identity
-//   keys go into the forward and reversed affix tries, prefixes into the prefix trie.
+//   a KeyInterner (src/relations/key_interner.h, shared with the checker), which
+//   keeps one text buffer and gives equal texts one dense id. An id is both an
+//   equality bucket, whose distinct nodes are listed once, and a witness
+//   identity. Identity keys go into the forward and reversed affix tries,
+//   prefixes into the prefix trie.
 //
 //   Pass 2 (per configuration): look each value up, producing candidate (forall,
 //   relation, exists) keys together with the forall-side line that found a witness.

@@ -249,6 +249,11 @@ uint64_t Lexer::DefinitionsKey() const {
   return key;
 }
 
+std::string Lexer::DescribeKey(uint64_t key) {
+  return key == 0 ? std::string("the built-in lexer")
+                  : "lexer definitions " + std::to_string(key);
+}
+
 std::optional<Lexer::TokenMatch> Lexer::MatchAt(std::string_view text, size_t pos,
                                                 Regex::Scratch* scratch) const {
   TokenMatch best;

@@ -56,6 +56,10 @@ class Lexer {
   // it, since the patterns a lexer makes depend on its tokens.
   uint64_t DefinitionsKey() const;
 
+  // Names a DefinitionsKey in messages: "the built-in lexer" for 0, else
+  // "lexer definitions <key>".
+  static std::string DescribeKey(uint64_t key);
+
  private:
   struct CustomToken {
     std::string name;

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 
 #include "src/analyze/analyzer.h"
 #include "src/contracts/contract_io.h"
+#include "src/pattern/lexer.h"
 #include "src/util/io.h"
 
 namespace concord {
 
 bool ContractStore::Load(const std::string& name, const std::string& path,
-                         std::string* error) {
+                         uint64_t lexer_key, std::string* error) {
   std::string text;
   try {
     text = ReadFile(path);
@@ -18,16 +20,23 @@ bool ContractStore::Load(const std::string& name, const std::string& path,
     *error = e.what();
     return false;
   }
-  return Install(name, text, path, error);
+  return Install(name, text, path, lexer_key, error);
 }
 
 bool ContractStore::Install(const std::string& name, const std::string& serialized,
-                            const std::string& path, std::string* error) {
+                            const std::string& path, uint64_t lexer_key,
+                            std::string* error) {
   auto entry = std::make_shared<LoadedContractSet>(cache_capacity_);
   entry->name = name;
   entry->path = path;
   auto set = ParseContracts(serialized, &entry->table, error);
   if (!set) {
+    return false;
+  }
+  if (set->lexer_key != lexer_key) {
+    *error = "lexer mismatch: the contract set was learned with " +
+             Lexer::DescribeKey(set->lexer_key) + ", but this service lexes with " +
+             Lexer::DescribeKey(lexer_key);
     return false;
   }
   entry->set = std::move(*set);
@@ -45,6 +54,13 @@ bool ContractStore::Install(const std::string& name, const std::string& serializ
   MutexLock lock(mu_);
   sets_[name] = std::move(entry);  // Hot swap; old entry drains via shared_ptr.
   return true;
+}
+
+void ContractStore::EvictOtherLexers(uint64_t lexer_key) {
+  MutexLock lock(mu_);
+  for (auto it = sets_.begin(); it != sets_.end();) {
+    it = it->second->set.lexer_key != lexer_key ? sets_.erase(it) : std::next(it);
+  }
 }
 
 std::shared_ptr<LoadedContractSet> ContractStore::Get(const std::string& name) const {

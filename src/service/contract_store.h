@@ -71,14 +71,21 @@ class ContractStore {
   explicit ContractStore(size_t cache_capacity) : cache_capacity_(cache_capacity) {}
 
   // Loads (or hot-swaps) the named set from `path`. Parsing happens outside the
-  // store lock; on failure the previous entry, if any, stays untouched.
-  bool Load(const std::string& name, const std::string& path, std::string* error);
+  // store lock; on failure the previous entry, if any, stays untouched. A set
+  // whose recorded lexer key (Lexer::DefinitionsKey) is not `lexer_key` is
+  // refused: the configs it would check are lexed with other tokens.
+  bool Load(const std::string& name, const std::string& path, uint64_t lexer_key,
+            std::string* error);
 
   // Installs (or hot-swaps) a set from serialized contract text that never
-  // touched disk — the serve `learn`/`update` verbs install their results this
-  // way. `path` labels the provenance (empty = not reloadable from disk).
+  // touched disk — the serve `learn`/`update` verbs and the warm restart
+  // install their results this way. `path` labels the provenance (empty = not
+  // reloadable from disk). Refuses another lexer's set as Load does.
   bool Install(const std::string& name, const std::string& serialized,
-               const std::string& path, std::string* error);
+               const std::string& path, uint64_t lexer_key, std::string* error);
+
+  // Drops every set learned under a lexer key other than `lexer_key`.
+  void EvictOtherLexers(uint64_t lexer_key);
 
   // Returns the named entry, or nullptr when absent.
   std::shared_ptr<LoadedContractSet> Get(const std::string& name) const;

@@ -152,7 +152,8 @@ void Service::WarmRestart() {
   // Install every persisted contract set straight from disk: a warm restart
   // serves check traffic in milliseconds without relearning anything. The
   // store's "contracts" stage hit counters are the proof. A corrupt or missing
-  // object is counted and skipped — the dataset relearns on its next use.
+  // object is counted and skipped, and a set learned under another lexer is
+  // refused by Install — either way the dataset relearns on its next use.
   for (const auto& [name, info] : durable_->Datasets()) {
     if (info.contracts_key == 0) {
       continue;
@@ -163,17 +164,26 @@ void Service::WarmRestart() {
       continue;
     }
     std::string error;
-    store_.Install(name, *payload, /*path=*/"", &error);
+    store_.Install(name, *payload, /*path=*/"", lexer_.DefinitionsKey(), &error);
   }
 }
 
 bool Service::LoadContracts(const std::string& name, const std::string& path,
                             std::string* error) {
-  return store_.Load(name, path, error);
+  return store_.Load(name, path, lexer_.DefinitionsKey(), error);
 }
 
 bool Service::LoadLexerDefinitions(const std::string& text, std::string* error) {
-  return lexer_.LoadDefinitions(text, error);
+  if (!lexer_.LoadDefinitions(text, error)) {
+    return false;
+  }
+  // The sets installed so far matched the previous lexer. Drop the ones this
+  // lexer does not match, and warm-restart the persisted sets it does.
+  store_.EvictOtherLexers(lexer_.DefinitionsKey());
+  if (durable_ != nullptr) {
+    WarmRestart();
+  }
+  return true;
 }
 
 std::string Service::HandleLine(const std::string& line) {
@@ -681,7 +691,7 @@ JsonValue Service::HandleReload(const JsonValue& request) {
                        "path");
   }
   std::string error;
-  if (!store_.Load(name, path, &error)) {
+  if (!store_.Load(name, path, lexer_.DefinitionsKey(), &error)) {
     throw ServiceError(ErrorCode::kIoError, "reload of '" + name + "' from " +
                                                 path + " failed: " + error);
   }
@@ -1009,7 +1019,7 @@ JsonValue Service::RelearnAndInstall(const std::string& name, ResidentDataset& d
 
   std::string serialized = SerializeContracts(result.set, table);
   std::string error;
-  if (!store_.Install(name, serialized, /*path=*/"", &error)) {
+  if (!store_.Install(name, serialized, /*path=*/"", lexer_.DefinitionsKey(), &error)) {
     throw ServiceError(ErrorCode::kInternal, "installing learned contract set '" +
                                                  name + "' failed: " + error);
   }
@@ -1170,8 +1180,10 @@ std::shared_ptr<Service::ResidentDataset> Service::HydrateDataset(
   }
   // The persisted contracts become the "previous" set for update deltas. A
   // corrupt object degrades to an empty previous set (the relearn result is
-  // unaffected — it derives from the rehydrated inputs).
-  if (info->contracts_key != 0) {
+  // unaffected — it derives from the rehydrated inputs). A set learned under
+  // another lexer is left out like a missing object: its patterns are not
+  // this lexer's, and interning them would shift the relearn's pattern ids.
+  if (info->contracts_key != 0 && info->lexer == lexer_.DefinitionsKey()) {
     bool corrupt = false;
     auto payload = durable_->GetObject(RecordType::kContracts, info->contracts_key,
                                        "contracts", &corrupt);

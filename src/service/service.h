@@ -86,12 +86,15 @@ class Service {
   explicit Service(ServiceOptions options);
 
   // Loads (or replaces) a contract set before/while serving. On failure the store
-  // is unchanged and *error describes the problem.
+  // is unchanged and *error describes the problem; a set learned under a lexer
+  // other than this service's is refused.
   bool LoadContracts(const std::string& name, const std::string& path,
                      std::string* error);
 
   // Installs custom lexer definitions (`name regex` lines) used when parsing
-  // request configs. Call before serving.
+  // request configs. Call before serving. Installed sets learned under another
+  // lexer are dropped, and with a store the persisted sets learned under this
+  // one are warm-restarted, so no installed set mismatches the lexer.
   bool LoadLexerDefinitions(const std::string& text, std::string* error);
 
   // Handles one request line, returning exactly one line of JSON (no newline).

@@ -145,8 +145,18 @@ BigInt BigInt::AbsDiff(const BigInt& other) const {
 }
 
 std::string BigInt::ToDecimal() const {
-  if (IsZero()) {
-    return "0";
+  if (limbs_.size() <= 2) {
+    // Fits in 64 bits: the common case for every [num] a config carries. The
+    // digits are written backwards into a local buffer; nothing is copied.
+    uint64_t value = *ToUint64();
+    char buffer[20];  // 2^64 - 1 has 20 digits.
+    char* end = buffer + sizeof(buffer);
+    char* out = end;
+    do {
+      *--out = static_cast<char>('0' + value % 10);
+      value /= 10;
+    } while (value != 0);
+    return std::string(out, static_cast<size_t>(end - out));
   }
   std::vector<uint32_t> work = limbs_;
   std::string digits;

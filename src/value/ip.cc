@@ -1,7 +1,5 @@
 #include "src/value/ip.h"
 
-#include <sstream>
-
 #include "src/util/strings.h"
 
 namespace concord {
@@ -44,10 +42,25 @@ uint8_t Ipv4Address::Octet(int index) const {
 }
 
 std::string Ipv4Address::ToString() const {
-  std::ostringstream out;
-  out << ((bits_ >> 24) & 0xff) << '.' << ((bits_ >> 16) & 0xff) << '.' << ((bits_ >> 8) & 0xff)
-      << '.' << (bits_ & 0xff);
-  return out.str();
+  // Formats into a local buffer, without a stream: this runs once per rendered
+  // key in mining and checking.
+  char buffer[15];
+  char* out = buffer;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    uint32_t octet = (bits_ >> shift) & 0xff;
+    if (octet >= 100) {
+      *out++ = static_cast<char>('0' + octet / 100);
+      octet %= 100;
+      *out++ = static_cast<char>('0' + octet / 10);
+    } else if (octet >= 10) {
+      *out++ = static_cast<char>('0' + octet / 10);
+    }
+    *out++ = static_cast<char>('0' + octet % 10);
+    if (shift > 0) {
+      *out++ = '.';
+    }
+  }
+  return std::string(buffer, static_cast<size_t>(out - buffer));
 }
 
 namespace {
@@ -162,25 +175,28 @@ std::string Ipv6Address::ToString() const {
   if (best_len < 2) {
     best_start = -1;
   }
-  std::ostringstream out;
-  out << std::hex;
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buffer[39];  // Eight 4-digit groups and seven separators at most.
+  char* out = buffer;
   for (int i = 0; i < 8;) {
     if (i == best_start) {
-      out << "::";
+      *out++ = ':';
+      *out++ = ':';
       i += best_len;
       continue;
     }
     if (i > 0 && !(best_start >= 0 && i == best_start + best_len)) {
-      out << ':';
+      *out++ = ':';
     }
-    out << groups[i];
+    const uint16_t group = groups[i];
+    for (int shift = 12; shift >= 0; shift -= 4) {
+      if (shift == 0 || (group >> shift) != 0) {
+        *out++ = kDigits[(group >> shift) & 0xf];
+      }
+    }
     ++i;
   }
-  std::string result = out.str();
-  if (result.empty()) {
-    return "::";
-  }
-  return result;
+  return std::string(buffer, static_cast<size_t>(out - buffer));
 }
 
 namespace {

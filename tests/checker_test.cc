@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/contracts/contract_io.h"
+#include "src/datagen/edge_gen.h"
+#include "src/datagen/mutation.h"
 #include "src/learn/index.h"
 #include "src/learn/learner.h"
+#include "src/report/report.h"
 #include "src/util/cancellation.h"
 #include "src/util/error_code.h"
 #include "src/util/strings.h"
@@ -230,26 +235,146 @@ TEST(Checker, TypeViolationFlagged) {
   EXPECT_GE(CountViolationsOfKind(result, *loaded, ContractKind::kType), 1u);
 }
 
+// Every byte a check renders: the JSON report and the per-line coverage listing.
+std::string RenderedBytes(const CheckResult& result, const ContractSet& set,
+                          const PatternTable& table) {
+  return ReportJson(result, set, table) + "\n--- coverage ---\n" + CoverageReportText(result);
+}
+
+// The scan grid (config tiles x contract chunks) must not show in the output:
+// at parallelism 2, 4 and 7 the report and coverage bytes equal the serial
+// run's, with coverage on, with it off, and off under a prune mask. Returns the
+// serial coverage-on result.
+CheckResult ExpectParallelMatchesSerial(const ContractSet& set, const Dataset& tests,
+                                        const std::string& label) {
+  std::vector<ConfigIndex> indexes = BuildIndexes(tests);
+  std::vector<const ConfigIndex*> ptrs;
+  for (const ConfigIndex& index : indexes) {
+    ptrs.push_back(&index);
+  }
+  Checker checker(&set, &tests.patterns);
+  std::vector<uint8_t> mask(set.contracts.size(), 0);
+  for (size_t k = 0; k < mask.size(); k += 3) {
+    mask[k] = 1;
+  }
+  struct Mode {
+    const char* name;
+    bool coverage;
+    const std::vector<uint8_t>* prune;
+  };
+  CheckResult serial_coverage;
+  for (const Mode& mode : {Mode{"coverage on", true, nullptr},
+                           Mode{"coverage off", false, nullptr},
+                           Mode{"prune mask", false, &mask}}) {
+    CheckOptions options;
+    options.measure_coverage = mode.coverage;
+    options.prune_mask = mode.prune;
+    CheckResult serial = checker.Check(ptrs, options);
+    const std::string expected = RenderedBytes(serial, set, tests.patterns);
+    for (int parallelism : {2, 4, 7}) {
+      options.parallelism = parallelism;
+      EXPECT_EQ(RenderedBytes(checker.Check(ptrs, options), set, tests.patterns), expected)
+          << label << ", " << mode.name << ", parallelism " << parallelism;
+    }
+    if (mode.coverage) {
+      serial_coverage = std::move(serial);
+    }
+  }
+  return serial_coverage;
+}
+
 TEST(Checker, ParallelCheckMatchesSerial) {
   LearnedWorld world = LearnWorld();
   std::string bad1 = ReplaceAll(GoodConfig(50), "seq 10 permit 10.14.51.34/32",
                                 "seq 10 permit 10.14.99.34/32");
   std::string bad2 = ReplaceAll(GoodConfig(51), "vlan 1867", "vlan 1868");
-  Dataset tests = ParseTests(&world, {GoodConfig(49), bad1, bad2, GoodConfig(52)});
 
-  Checker checker(&world.set, &tests.patterns);
-  CheckResult a = checker.Check(tests, CheckOptions{.parallelism = 1});
-  CheckResult b = checker.Check(tests, CheckOptions{.parallelism = 4});
+  // One tile of four configs: the contracts are cut into chunks.
+  Dataset four = ParseTests(&world, {GoodConfig(49), bad1, bad2, GoodConfig(52)});
+  EXPECT_FALSE(ExpectParallelMatchesSerial(world.set, four, "4 configs").violations.empty());
 
-  ASSERT_EQ(a.violations.size(), b.violations.size());
-  for (size_t i = 0; i < a.violations.size(); ++i) {
-    EXPECT_EQ(a.violations[i].config, b.violations[i].config);
-    EXPECT_EQ(a.violations[i].line_number, b.violations[i].line_number);
-    EXPECT_EQ(a.violations[i].message, b.violations[i].message);
-    EXPECT_EQ(a.violations[i].contract_index, b.violations[i].contract_index);
+  // One config, and 33 configs: a full tile plus a one-config tile, with a
+  // fault in each.
+  Dataset one = ParseTests(&world, {bad1});
+  EXPECT_FALSE(ExpectParallelMatchesSerial(world.set, one, "1 config").violations.empty());
+  std::vector<std::string> texts;
+  for (int i = 0; i < 33; ++i) {
+    texts.push_back(GoodConfig(100 + i));
   }
-  EXPECT_EQ(a.covered_lines, b.covered_lines);
-  EXPECT_EQ(a.covered_by_kind, b.covered_by_kind);
+  texts[3] = ReplaceAll(texts[3], "seq 20 permit", "seq 25 permit");
+  texts[32] = ReplaceAll(texts[32], "ip address 10.14.133.34", "ip address 10.14.7.34");
+  Dataset thirty_three = ParseTests(&world, texts);
+  CheckResult result = ExpectParallelMatchesSerial(world.set, thirty_three, "33 configs");
+  std::set<std::string> flagged;
+  for (const Violation& v : result.violations) {
+    flagged.insert(v.config);
+  }
+  EXPECT_EQ(flagged, (std::set<std::string>{"test3.cfg", "test32.cfg"}));
+
+  // A generated batch of eight tiles with planted faults of every kind,
+  // checked against contracts learned from a pristine corpus.
+  EdgeOptions edge;
+  edge.sites = 8;
+  edge.drift_rate = 0.0;
+  edge.type_noise_rate = 0.0;
+  edge.optional_feature_rate = 1.0;
+  GeneratedCorpus train_corpus = GenerateEdge(edge);
+  Dataset train = ParseCorpus(train_corpus);
+  LearnOptions options;
+  options.support = 5;
+  options.confidence = 0.9;
+  options.score_threshold = 4.0;
+  ContractSet set = Learner(options).Learn(train).set;
+  ASSERT_GT(set.CountKind(ContractKind::kRelational), 0u);
+
+  edge.sites = 64;
+  edge.seed = 3;
+  GeneratedCorpus corpus = GenerateEdge(edge);
+  ASSERT_GE(corpus.configs.size(), 8 * 32u);
+  MutationEngine engine(7);
+  int planted = 0;
+  for (int i = 0; i < 48; ++i) {
+    planted += engine.Apply(&corpus, static_cast<MutationKind>(i % 6)).has_value() ? 1 : 0;
+  }
+  EXPECT_GE(planted, 24);
+  Dataset tests;
+  tests.patterns = train.patterns;
+  Lexer lexer;
+  ConfigParser parser(&lexer, &tests.patterns, ParseOptions{});
+  for (const GeneratedConfig& config : corpus.configs) {
+    tests.configs.push_back(parser.Parse(config.name, config.text));
+  }
+  for (const GeneratedConfig& meta : corpus.metadata) {
+    for (ParsedLine& line : parser.ParseMetadata(meta.text)) {
+      tests.metadata.push_back(std::move(line));
+    }
+  }
+  result = ExpectParallelMatchesSerial(set, tests, "generated edge batch");
+  EXPECT_GT(result.violations.size(), 0u);
+  EXPECT_GT(result.covered_by_kind[static_cast<size_t>(CoverageKind::kRelEquality)], 0u);
+
+  // Every tile after the first finds its postings by binary search: the batch
+  // flags each config exactly as checking that config alone does (unique
+  // contracts aside, which compare values across configs).
+  Checker checker(&set, &tests.patterns);
+  std::vector<ConfigIndex> indexes = BuildIndexes(tests);
+  auto per_config = [&set](const std::vector<Violation>& violations) {
+    std::vector<std::string> out;
+    for (const Violation& v : violations) {
+      if (set.contracts[v.contract_index].kind != ContractKind::kUnique) {
+        out.push_back(v.config + ":" + std::to_string(v.line_number) + ":" +
+                      std::to_string(v.contract_index) + ":" + v.message);
+      }
+    }
+    return out;
+  };
+  std::vector<Violation> alone;
+  for (const ConfigIndex& index : indexes) {
+    for (Violation& v : checker.Check({&index}, CheckOptions{}).violations) {
+      alone.push_back(std::move(v));
+    }
+  }
+  EXPECT_EQ(per_config(result.violations), per_config(alone));
 }
 
 bool SameResult(const CheckResult& a, const CheckResult& b) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "src/format/json.h"
+#include "src/pattern/lexer.h"
 #include "src/store/store.h"
 #include "src/util/fault.h"
 #include "src/util/io.h"
@@ -483,6 +484,32 @@ TEST_F(CliTest, CheckRefusesALexerMismatch) {
                 nullptr, &err),
             2);
   EXPECT_NE(err.find("lexer mismatch"), std::string::npos) << err;
+}
+
+// `serve --contracts` compares the preloaded set's lexer with `serve --lexer`
+// and refuses a mismatch before serving, naming both lexers.
+TEST_F(CliTest, ServeRefusesAPreloadLearnedUnderAnotherLexer) {
+  std::string lexer = (dir_ / "lexer.txt").string();
+  WriteFile(lexer, "host DEV[0-9]+\n");
+  Lexer custom;
+  ASSERT_TRUE(custom.LoadDefinitions(ReadFile(lexer)));
+  const std::string custom_name = "lexer definitions " + std::to_string(custom.DefinitionsKey());
+  std::string plain = (dir_ / "plain.json").string();
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--out", plain}), 0);
+  ASSERT_EQ(Run({"learn", "--configs", ConfigsGlob(), "--support", "3", "--lexer", lexer,
+                 "--out", ContractsPath()}),
+            0);
+  for (const auto& args : {std::vector<std::string>{"serve", "--lexer", lexer, "--contracts",
+                                                    "prod=" + plain, "--quiet"},
+                           std::vector<std::string>{"serve", "--contracts",
+                                                    "prod=" + ContractsPath(), "--quiet"}}) {
+    std::string err;
+    EXPECT_EQ(Run(args, nullptr, &err), 2);
+    EXPECT_NE(err.find("cannot load contracts 'prod'"), std::string::npos) << err;
+    EXPECT_NE(err.find("lexer mismatch"), std::string::npos) << err;
+    EXPECT_NE(err.find("the built-in lexer"), std::string::npos) << err;
+    EXPECT_NE(err.find(custom_name), std::string::npos) << err;
+  }
 }
 
 // A contract object damaged on disk fails `check --store-dir` with

@@ -123,6 +123,17 @@ TEST_F(FuzzHarnessTest, AnalyzePruneOracleFiresOnPlantedDivergence) {
   EXPECT_EQ(triage.oracle, "analyze_prune");
 }
 
+TEST_F(FuzzHarnessTest, ParallelIdentityOracleFiresOnPlantedDivergence) {
+  OracleOptions options = Options();
+  options.hooks.perturb_parallel_report = [](std::string* report) {
+    ASSERT_FALSE(report->empty());
+    (*report)[report->size() / 2] ^= 0x20;
+  };
+  TriageResult triage = RunOracles(CleanCorpus(), options);
+  EXPECT_EQ(triage.bucket, TriageBucket::kMismatch);
+  EXPECT_EQ(triage.oracle, "parallel_identity");
+}
+
 TEST_F(FuzzHarnessTest, TimeoutTriagesAsTimeout) {
   OracleOptions options = Options();
   options.deadline_ms = 1;

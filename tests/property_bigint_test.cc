@@ -90,5 +90,24 @@ TEST_P(BigIntProperty, CompareIsTotalOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntProperty, ::testing::Range(0, 6));
 
+// Decimal rendering on both sides of the one- and two-limb boundaries, where the
+// 64-bit fast path hands over to long division.
+TEST(BigIntDecimal, LimbBoundaries) {
+  EXPECT_EQ(BigInt(0).ToDecimal(), "0");
+  EXPECT_EQ(BigInt(0xffffffffULL).ToDecimal(), "4294967295");
+  EXPECT_EQ(BigInt(0x100000000ULL).ToDecimal(), "4294967296");
+  EXPECT_EQ(BigInt(~0ULL).ToDecimal(), "18446744073709551615");
+  const BigInt two_pow_64 = BigInt(~0ULL).Add(BigInt(1));
+  EXPECT_FALSE(two_pow_64.ToUint64().has_value());
+  EXPECT_EQ(two_pow_64.ToDecimal(), "18446744073709551616");
+  for (const char* text :
+       {"4294967296", "18446744073709551615", "18446744073709551616",
+        "340282366920938463463374607431768211456"}) {
+    auto value = BigInt::FromDecimal(text);
+    ASSERT_TRUE(value.has_value()) << text;
+    EXPECT_EQ(value->ToDecimal(), text);
+  }
+}
+
 }  // namespace
 }  // namespace concord

@@ -16,6 +16,7 @@
 #include "src/datagen/edge_gen.h"
 #include "src/datagen/wan_gen.h"
 #include "src/format/json.h"
+#include "src/pattern/lexer.h"
 #include "src/service/service.h"
 #include "src/store/record_io.h"
 #include "src/store/store.h"
@@ -259,6 +260,51 @@ TEST_F(StoreServiceTest, CorruptContractsObjectDegradesToRelearnOnUpdate) {
   EXPECT_EQ(checked.GetBool("ok"), true);
   // The relearn wrote the same contract bytes, which replaced the damaged object.
   EXPECT_EQ(DurableStore(store_dir).Verify().corrupt, 0u);
+}
+
+// A set persisted under one lexer is not served under another. The warm
+// restart that LoadLexerDefinitions runs leaves it out, so a check answers
+// unknown_contract_set, and an update relearns it from the persisted blobs
+// under the service's lexer, as when the contract object is missing.
+TEST_F(StoreServiceTest, WarmRestartUnderAnotherLexerRelearnsFromBlobs) {
+  std::string store_dir = StoreDir("other-lexer");
+  GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
+  {
+    auto service = MakeService(store_dir);
+    JsonValue learned = Respond(*service, LearnRequest("d", corpus));
+    ASSERT_EQ(learned.GetBool("ok"), true) << learned.Serialize(0);
+  }
+  const std::string definitions = "host DEV[0-9]+\n";
+  Lexer lexer;
+  ASSERT_TRUE(lexer.LoadDefinitions(definitions));
+  auto with_lexer = [&] {
+    auto service = MakeService(store_dir);
+    std::string error;
+    EXPECT_TRUE(service->LoadLexerDefinitions(definitions, &error)) << error;
+    return service;
+  };
+
+  auto warm = with_lexer();
+  JsonValue refused = Respond(*warm, CheckRequest("d", corpus));
+  EXPECT_EQ(refused.GetBool("ok"), false);
+  EXPECT_EQ(refused.Find("error")->GetString("code"), "unknown_contract_set");
+  JsonValue update = JsonValue::Object();
+  update.Set("v", JsonValue::Number(int64_t{1}));
+  update.Set("verb", JsonValue::String("update"));
+  update.Set("dataset", JsonValue::String("d"));
+  update.Set("configs", JsonValue::Array());
+  JsonValue relearned = Respond(*warm, update.Serialize(0));
+  ASSERT_EQ(relearned.GetBool("ok"), true) << relearned.Serialize(0);
+  EXPECT_EQ(Respond(*warm, CheckRequest("d", corpus)).GetBool("ok"), true);
+  EXPECT_EQ(DurableStore(store_dir).GetDataset("d")->lexer, lexer.DefinitionsKey());
+  warm.reset();
+
+  // The relearned set is now the custom lexer's: served under it, not under
+  // the built-in lexer.
+  EXPECT_EQ(Respond(*with_lexer(), CheckRequest("d", corpus)).GetBool("ok"), true);
+  JsonValue plain = Respond(*MakeService(store_dir), CheckRequest("d", corpus));
+  EXPECT_EQ(plain.GetBool("ok"), false);
+  EXPECT_EQ(plain.Find("error")->GetString("code"), "unknown_contract_set");
 }
 
 // A dataset persisted by `concord learn --no-embedding --store-dir` keeps its
