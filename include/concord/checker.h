@@ -14,14 +14,6 @@
 //   concord::CheckOptions options;
 //   options.deadline = concord::Deadline::After(500);
 //   concord::CheckResult result = checker.Check(indexes, options);
-//
-// Batched checking (ProcessQueries-style) amortizes that plan plus one postings
-// scan per batch across many logically independent requests; per-item faults
-// (deadline expiry, internal errors) are isolated into the item's BatchOutcome
-// instead of failing the batch:
-//
-//   std::vector<concord::Checker::BatchItem> items = ...;
-//   std::vector<concord::Checker::BatchOutcome> out = checker.CheckBatch(items);
 #ifndef INCLUDE_CONCORD_CHECKER_H_
 #define INCLUDE_CONCORD_CHECKER_H_
 

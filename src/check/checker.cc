@@ -683,8 +683,8 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
   };
 
   // Dispatch: the two waves (config-major type pass, the scan grid) share one
-  // pool. CheckBatch stays serial-outer precisely so these inner waves never
-  // nest inside a pool worker.
+  // pool. Callers run Check from outside the pool (serve's check_batch runs its
+  // slots one after another), so these waves never nest inside a pool worker.
   const bool parallel_types = parallel && !type_rules_.empty() && n > 1;
   const bool parallel_tasks = parallel && num_tasks > 1;
   ThreadPool* pool = options.pool;
@@ -812,28 +812,6 @@ CheckResult Checker::Check(const std::vector<const ConfigIndex*>& indexes,
     }
   }
   return result;
-}
-
-std::vector<Checker::BatchOutcome> Checker::CheckBatch(
-    const std::vector<BatchItem>& items) const {
-  std::vector<BatchOutcome> outcomes(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    BatchOutcome& outcome = outcomes[i];
-    try {
-      outcome.result = Check(items[i].indexes, items[i].options);
-      outcome.ok = true;
-      outcome.code = ErrorCode::kInternal;  // Unused when ok.
-    } catch (const DeadlineExceeded&) {
-      outcome.ok = false;
-      outcome.code = ErrorCode::kDeadlineExceeded;
-      outcome.message = "deadline_exceeded";
-    } catch (const std::exception& e) {
-      outcome.ok = false;
-      outcome.code = ErrorCode::kInternal;
-      outcome.message = e.what();
-    }
-  }
-  return outcomes;
 }
 
 }  // namespace concord

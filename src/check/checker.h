@@ -167,36 +167,14 @@ class Checker {
   // whole contract set; a batch of few tiles (a serve request is one) also
   // cuts the contracts into count-cut chunks. Each task walks its tile one
   // config at a time, finds each contract's occurrences in a postings table
-  // built by a single pass over the batch's pre-built indexes — the artifact
-  // pipeline's Index stage (ArtifactStore, or the service's index cache) — and
+  // built by a single pass over the batch's pre-built indexes (ArtifactStore's
+  // Index stage, or the ones a serve request builds over its cached parses) and
   // renders each relational key once per config into a key table every
   // contract of the task shares. Violations merge per config in contract
   // order, so every parallelism gives the same bytes. The indexes must
   // outlive the call.
   CheckResult Check(const std::vector<const ConfigIndex*>& indexes,
                     const CheckOptions& options) const;
-
-  // One logically independent check within a batch (its own configs, deadline,
-  // and knobs) — e.g. one sub-request of a `check_batch` serve call.
-  struct BatchItem {
-    std::vector<const ConfigIndex*> indexes;
-    CheckOptions options;
-  };
-
-  // Outcome of one BatchItem. Faults are isolated per item: one expired
-  // deadline or internal error yields a failed slot, never a failed batch.
-  struct BatchOutcome {
-    bool ok = false;
-    ErrorCode code = ErrorCode::kInternal;
-    std::string message;  // Empty when ok.
-    CheckResult result;   // Meaningful when ok.
-  };
-
-  // Runs every item and returns outcomes in item order. Items run sequentially
-  // on the calling thread while each item's scan uses its own parallelism
-  // options — nesting pool waves inside pool workers would deadlock a small
-  // pool, and per-item results must not reorder.
-  std::vector<BatchOutcome> CheckBatch(const std::vector<BatchItem>& items) const;
 
  private:
   // One type contract's rule, grouped by untyped pattern for a single pass over

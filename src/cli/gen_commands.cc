@@ -226,7 +226,6 @@ int RunFuzz(int argc, const char* const* argv, std::ostream& out,
   }
   out << ": " << result.clean << " clean, " << result.crashes << " crash, "
       << result.mismatches << " mismatch, " << result.timeouts << " timeout\n";
-  out << "check tiles: " << result.multi_tile << " case(s) span more than one tile\n";
   out << "verdict fingerprint: " << Hex16(result.verdict_fingerprint) << "\n";
   return result.ok() ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -569,29 +570,69 @@ void RunAnalyzePruneOracle(const LearnedCorpus& learned, const OracleOptions& op
 //
 // The check half of the parallel_identity oracle: the scan grid (config tiles
 // x contract chunks) and the per-task key tables must not show in the output.
-// A coverage-on check at `parallelism` renders the report and per-line
-// coverage bytes of the serial check.
+// The corpus's configs repeat in order until the batch holds more than one
+// tile, so every case crosses a tile boundary. The batch checked at
+// `parallelism` renders the report and per-line coverage bytes of the serial
+// check. Both run the same tiles, so the serial check is also held to the
+// batch's configs checked one at a time (each its own tile): every config gets
+// the same violations and coverage, the unique contracts aside, since theirs
+// is the one verdict that depends on the rest of the batch.
 void RunParallelIdentityOracle(const LearnedCorpus& learned, int parallelism,
                                const OracleOptions& options, const Deadline& deadline) {
+  if (learned.index_ptrs.empty()) {
+    return;
+  }
+  std::vector<const ConfigIndex*> batch;
+  while (batch.size() <= kCheckTileConfigs) {
+    batch.insert(batch.end(), learned.index_ptrs.begin(), learned.index_ptrs.end());
+  }
   Checker checker(&learned.set, &learned.dataset.patterns);
-  auto rendered = [&](int workers) {
+  auto check = [&](const std::vector<const ConfigIndex*>& indexes, int workers) {
     CheckOptions check_options;
     check_options.deadline = deadline;
     check_options.parallelism = workers;
-    CheckResult result = checker.Check(learned.index_ptrs, check_options);
-    return ReportJson(result, learned.set, learned.dataset.patterns) + CoverageReportText(result);
+    return checker.Check(indexes, check_options);
   };
-  const std::string serial = rendered(1);
-  std::string parallel = rendered(parallelism);
+  auto rendered = [&](const CheckResult& result) {
+    return ReportJson(result, learned.set, learned.dataset.patterns) +
+           CoverageReportText(result);
+  };
+  const CheckResult serial = check(batch, 1);
+  const std::string serial_bytes = rendered(serial);
+  std::string parallel = rendered(check(batch, parallelism));
   if (options.hooks.perturb_parallel_report) {
     options.hooks.perturb_parallel_report(&parallel);
   }
-  if (parallel != serial) {
+  if (parallel != serial_bytes) {
     throw OracleMismatch{"parallel_identity",
                          "check at parallelism " + std::to_string(parallelism) +
                              " renders other bytes than the serial check (" +
                              std::to_string(parallel.size()) + " vs " +
-                             std::to_string(serial.size()) + " bytes)"};
+                             std::to_string(serial_bytes.size()) + " bytes)"};
+  }
+
+  auto per_config = [&](const CheckResult& result) {
+    std::string out;
+    for (const Violation& v : result.violations) {
+      if (learned.set.contracts[v.contract_index].kind != ContractKind::kUnique) {
+        out += v.config + ":" + std::to_string(v.line_number) + " " + v.message + "\n";
+      }
+    }
+    return out + CoverageReportText(result);
+  };
+  CheckResult one_by_one;
+  for (const ConfigIndex* index : batch) {
+    CheckResult alone = check({index}, 1);
+    std::move(alone.violations.begin(), alone.violations.end(),
+              std::back_inserter(one_by_one.violations));
+    std::move(alone.per_config.begin(), alone.per_config.end(),
+              std::back_inserter(one_by_one.per_config));
+  }
+  if (per_config(serial) != per_config(one_by_one)) {
+    throw OracleMismatch{"parallel_identity",
+                         "a batch of " + std::to_string(batch.size()) +
+                             " configs (" + std::to_string(learned.index_ptrs.size()) +
+                             " repeated) checks its configs otherwise than one at a time"};
   }
 }
 
@@ -748,9 +789,6 @@ CampaignResult RunFuzzCampaign(const GeneratorRegistry& registry,
     try {
       GeneratedCorpus corpus = BuildFuzzCorpus(registry, spec);
       fingerprint = CorpusFingerprint(corpus);
-      if (corpus.configs.size() > kCheckTileConfigs) {
-        ++result.multi_tile;
-      }
       triage = RunOracles(corpus, options.oracle);
     } catch (const std::exception& e) {
       triage.bucket = TriageBucket::kCrash;

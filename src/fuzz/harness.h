@@ -17,6 +17,8 @@
 //   4. parallel identity — checking the learned set at a parallelism k in
 //                          2..7, drawn from the corpus fingerprint, renders
 //                          the report and coverage bytes of the serial check;
+//                          the configs repeat until the batch spans more than
+//                          one 32-config tile of the scan grid;
 //   5. never crash/hang  — the whole pipeline runs under a deadline; any
 //                          exception is a crash, deadline expiry is a timeout.
 //
@@ -123,9 +125,6 @@ struct CampaignResult {
   int crashes = 0;
   int mismatches = 0;
   int timeouts = 0;
-  // Cases whose corpus spans more than one tile of the checker's scan grid,
-  // where the parallel_identity oracle exercises the tile split.
-  int multi_tile = 0;
   std::vector<FailureRecord> failures;
   // FNV-1a over every case's (identity, corpus fingerprint, bucket, oracle) —
   // two campaigns with the same seed and knobs must agree on this exactly,

@@ -3,7 +3,9 @@
 // Each entry bundles everything one `check` needs: the parsed ContractSet, the
 // pattern table its patterns are interned in (which keeps growing as new configs
 // are parsed against it — that growth is the cross-request amortization win), the
-// parse options recorded in the contract file, and a parsed-config LRU cache.
+// parse options recorded in the contract file, and the set's one cache: parsed
+// configs keyed by ContentKey(name, text), the key ArtifactStore gives its Parse
+// stage. Indexes are per request (they carry the request's metadata lines).
 //
 // Lookups hold one mutex only for a map probe; entries are handed out as
 // shared_ptr so `reload` can hot-swap a fresh entry while in-flight requests finish
@@ -18,27 +20,17 @@
 
 #include "src/check/checker.h"
 #include "src/contracts/contract.h"
-#include "src/learn/index.h"
+#include "src/pattern/parser.h"
 #include "src/pattern/pattern_table.h"
-#include "src/service/config_cache.h"
+#include "src/service/lru_cache.h"
 #include "src/util/sync.h"
 
 namespace concord {
 
-// A cached Index artifact, pinned together with everything its line pointers
-// reach into: the parsed config and the request metadata it was built against.
-// Keyed by MixKeys(config content key, metadata content key).
-struct CachedConfigIndex {
-  std::shared_ptr<const ParsedConfig> config;
-  std::shared_ptr<const std::vector<ParsedLine>> metadata;
-  ConfigIndex index;
-};
-
 // One loaded contract set. Immutable after load except for `table` (grows under
-// `parse_mu` as configs are parsed) and the caches (internally synchronized).
+// `parse_mu` as configs are parsed) and the cache (internally synchronized).
 struct LoadedContractSet {
-  explicit LoadedContractSet(size_t cache_capacity)
-      : cache(cache_capacity), index_cache(cache_capacity) {}
+  explicit LoadedContractSet(size_t cache_capacity) : cache(cache_capacity) {}
 
   std::string name;
   std::string path;  // Source file; empty for sets learned in memory.
@@ -56,8 +48,7 @@ struct LoadedContractSet {
   // with --prune-subsumed; the checker only honors it with coverage off.
   std::vector<uint8_t> prune_mask;
   size_t prunable_count = 0;
-  ConfigCache cache;
-  LruCache<CachedConfigIndex> index_cache;
+  LruCache<ParsedConfig> cache;
   // Serializes table growth across requests. `table` itself is deliberately not
   // GUARDED_BY(parse_mu): checkers read already-interned patterns lock-free
   // while another request's parse phase appends new ones under this mutex

@@ -1,10 +1,10 @@
-// Generic thread-safe LRU cache of shared, immutable artifacts keyed by a
-// 64-bit content hash.
+// Thread-safe LRU cache of shared, immutable artifacts keyed by a 64-bit
+// content hash.
 //
-// One instantiation caches parsed configs (the Parse artifact), another caches
-// built per-config indexes (the Index artifact); see config_cache.h and
-// contract_store.h. Entries are shared_ptr so eviction or hot-swap never
-// invalidates a batch that is still working against the old entry.
+// Each loaded contract set caches its parsed configs (the Parse artifact) in
+// one (contract_store.h); the service counts its own hits and misses. Entries
+// are shared_ptr so eviction or hot-swap never invalidates a batch that is
+// still working against the old entry.
 #ifndef SRC_SERVICE_LRU_CACHE_H_
 #define SRC_SERVICE_LRU_CACHE_H_
 
@@ -34,10 +34,8 @@ class LruCache {
     MutexLock lock(mu_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++misses_;
       return nullptr;
     }
-    ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->second;
   }
@@ -67,16 +65,6 @@ class LruCache {
     return lru_.size();
   }
 
-  uint64_t hits() const {
-    MutexLock lock(mu_);
-    return hits_;
-  }
-
-  uint64_t misses() const {
-    MutexLock lock(mu_);
-    return misses_;
-  }
-
  private:
   using Entry = std::pair<uint64_t, Ptr>;
 
@@ -86,8 +74,6 @@ class LruCache {
   std::list<Entry> lru_ CONCORD_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index_
       CONCORD_GUARDED_BY(mu_);
-  uint64_t hits_ CONCORD_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ CONCORD_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace concord

@@ -446,21 +446,11 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
                          "each configs entry needs string 'name' and 'text' members",
                          "configs");
     }
-    items.push_back(Item{&config_name->AsString(), &text->AsString()});
+    items.push_back(Item{&config_name->AsString(), &text->AsString(),
+                         ContentKey(config_name->AsString(), text->AsString()), nullptr});
   }
-
-  // Content hashing fans out across the pool; config texts can be large.
-  pool_.ParallelFor(items.size(), [&items](size_t i) {
-    items[i].key = ContentKey(*items[i].name, *items[i].text);
-  });
-
-  // Cache probes and (for misses) parsing. Parsing interns patterns into the
-  // entry's long-lived table, so it runs serially under the entry's parse mutex —
-  // that is exactly the work the cache amortizes away on repeat traffic.
-  // Metadata lines are appended to every config's index, so the Index artifact's
-  // cache key mixes the config's content key with the metadata content key.
-  // Hash the raw texts up front (validating shape before any parsing work).
-  uint64_t metadata_key = kFnv1a64OffsetBasis;
+  // Validated before any parsing work, like the configs.
+  std::vector<const std::string*> metadata_texts;
   if (const JsonValue* meta = request.Find("metadata")) {
     if (!meta->is_array()) {
       throw ServiceError(ErrorCode::kInvalidField,
@@ -468,21 +458,28 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
                          "metadata");
     }
     for (const JsonValue& member : meta->items()) {
-      auto text = member.GetString("text");
-      if (!member.is_object() || !text) {
+      const JsonValue* text = member.is_object() ? member.Find("text") : nullptr;
+      if (text == nullptr || !text->is_string()) {
         throw ServiceError(ErrorCode::kInvalidField,
                            "each metadata entry needs a string 'text' member",
                            "metadata");
       }
-      metadata_key = Fnv1a64(*text, metadata_key);
+      metadata_texts.push_back(&text->AsString());
     }
   }
 
+  // Cache probes and (for misses) parsing. Parsing interns patterns into the
+  // entry's long-lived table, so it runs serially under the entry's parse mutex —
+  // that is exactly the work the cache amortizes away on repeat traffic. The
+  // metadata is parsed once per request and appended to every config's index,
+  // so indexes are built per request and never cached.
   uint64_t hits = 0;
   uint64_t misses = 0;
   std::vector<SkippedFile> degraded;
-  auto metadata = std::make_shared<std::vector<ParsedLine>>();
-  // Covers the parse-or-probe pass and the index-cache pass below.
+  std::vector<ParsedLine> metadata;
+  std::vector<const ParsedConfig*> parsed_configs;
+  parsed_configs.reserve(items.size());
+  // Covers the probe-or-parse pass and the index build.
   std::optional<TraceSpan> cache_span;
   cache_span.emplace("serve", "cache_lookup");
   {
@@ -493,76 +490,47 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
       item.parsed = entry->cache.Get(item.key);
       if (item.parsed != nullptr) {
         ++hits;
-        continue;
-      }
-      ++misses;
-      // Per-config fault isolation: one unparseable config degrades the batch
-      // instead of failing it; the survivors are still checked.
-      try {
-        auto parsed =
-            std::make_shared<ParsedConfig>(parser.Parse(*item.name, *item.text));
-        entry->cache.Put(item.key, parsed);
-        item.parsed = std::move(parsed);
-      } catch (const std::exception& e) {
-        degraded.push_back(SkippedFile{*item.name, e.what(), ErrorCode::kParseFailed});
-      }
-    }
-    if (const JsonValue* meta = request.Find("metadata")) {
-      for (const JsonValue& member : meta->items()) {
-        auto text = member.GetString("text");
-        for (ParsedLine& parsed_line : parser.ParseMetadata(*text)) {
-          metadata->push_back(std::move(parsed_line));
+      } else {
+        ++misses;
+        // Per-config fault isolation: one unparseable config degrades the batch
+        // instead of failing it; the survivors are still checked.
+        try {
+          item.parsed =
+              std::make_shared<ParsedConfig>(parser.Parse(*item.name, *item.text));
+          entry->cache.Put(item.key, item.parsed);
+        } catch (const std::exception& e) {
+          degraded.push_back(SkippedFile{*item.name, e.what(), ErrorCode::kParseFailed});
+          continue;
         }
       }
+      parsed_configs.push_back(item.parsed.get());
+    }
+    for (const std::string* text : metadata_texts) {
+      for (ParsedLine& parsed_line : parser.ParseMetadata(*text)) {
+        metadata.push_back(std::move(parsed_line));
+      }
     }
   }
-
-  bool measure_coverage =
-      coverage_listing || request.GetBool("coverage").value_or(true);
-
-  // Index stage: probe the per-config index cache, building only the misses.
-  // A cached index pins the parsed config and metadata it points into, so a
-  // repeat batch skips both the parse and the index build.
-  uint64_t index_hits = 0;
-  uint64_t index_misses = 0;
-  std::vector<std::shared_ptr<const CachedConfigIndex>> cached_indexes;
-  cached_indexes.reserve(items.size());
-  for (Item& item : items) {
-    if (item.parsed == nullptr) {
-      continue;
-    }
-    ThrowIfExpired(deadline);
-    uint64_t index_key = MixKeys(item.key, metadata_key);
-    auto cached = entry->index_cache.Get(index_key);
-    if (cached != nullptr) {
-      ++index_hits;
-    } else {
-      ++index_misses;
-      auto built = std::make_shared<CachedConfigIndex>();
-      built->config = item.parsed;
-      built->metadata = metadata;
-      built->index = BuildConfigIndex(item.parsed.get(), *metadata);
-      entry->index_cache.Put(index_key, built);
-      cached = std::move(built);
-    }
-    cached_indexes.push_back(std::move(cached));
-  }
+  // `items` pins the parsed configs and `metadata` outlives the check, so the
+  // indexes' line pointers stay valid.
+  std::vector<ConfigIndex> built = BuildIndexes(parsed_configs, metadata, &deadline);
   cache_span.reset();
-  if (cached_indexes.empty()) {
+  if (built.empty()) {
     throw ServiceError(ErrorCode::kParseFailed,
                        "all " + std::to_string(items.size()) +
                            " configs failed to parse (first: " + degraded.front().file +
                            ": " + degraded.front().reason + ")");
   }
   std::vector<const ConfigIndex*> indexes;
-  indexes.reserve(cached_indexes.size());
-  for (const auto& cached : cached_indexes) {
-    indexes.push_back(&cached->index);
+  indexes.reserve(built.size());
+  for (const ConfigIndex& index : built) {
+    indexes.push_back(&index);
   }
   // The entry's checker was compiled at install time (type-rule grouping,
   // pattern slot table); per-request state rides in the options.
   CheckOptions check_options;
-  check_options.measure_coverage = measure_coverage;
+  check_options.measure_coverage =
+      coverage_listing || request.GetBool("coverage").value_or(true);
   check_options.deadline = deadline;
   check_options.parallelism = static_cast<int>(pool_.num_threads());
   check_options.pool = &pool_;
@@ -588,8 +556,6 @@ JsonValue Service::HandleCheck(const JsonValue& request, bool coverage_listing) 
   body.Set("configs_checked", JsonValue::Number(ToInt64(indexes.size())));
   body.Set("cache_hits", JsonValue::Number(static_cast<int64_t>(hits)));
   body.Set("cache_misses", JsonValue::Number(static_cast<int64_t>(misses)));
-  body.Set("index_cache_hits", JsonValue::Number(static_cast<int64_t>(index_hits)));
-  body.Set("index_cache_misses", JsonValue::Number(static_cast<int64_t>(index_misses)));
   body.Set("violations", JsonValue::Number(ToInt64(result.violations.size())));
   // Per-config fault isolation: skipped configs, named with structured errors.
   // The {file, error} keys deliberately match the report JSON's degraded section

@@ -3,9 +3,9 @@
 // The one-shot CLI re-parses the contract file and re-embeds every config on each
 // invocation; inside a CI/CD pipeline the checker runs continuously, so the service
 // keeps learned contract sets resident (ContractStore), caches parsed configs by
-// content hash (ConfigCache), and answers newline-delimited JSON requests. The
-// protocol is versioned (DESIGN.md §7): every request carries "v":1 and every
-// response opens with "v":1,"ok":...:
+// ContentKey(name, text) in one LRU per set, and answers newline-delimited JSON
+// requests. The protocol is versioned (DESIGN.md §7): every request carries
+// "v":1 and every response opens with "v":1,"ok":...:
 //
 //   {"v":1,"verb":"check","contracts":"edge","configs":[{"name":...,"text":...}]}
 //   {"v":1,"verb":"check_batch","requests":[{"configs":[...]},...]}

@@ -19,13 +19,13 @@ inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ull;
 // seed of the next is equivalent to hashing the concatenation.
 uint64_t Fnv1a64(std::string_view data, uint64_t seed = kFnv1a64OffsetBasis);
 
-// Hash of a (name, text) pair with an unambiguous separator, used as the service's
-// config-cache key.
+// Hash of a (name, text) pair with an unambiguous separator: the Parse-artifact
+// key of ArtifactStore and of the service's parsed-config cache.
 uint64_t ContentKey(std::string_view name, std::string_view text);
 
-// Order-sensitive combination of two content keys — e.g. a config's content key
-// with the metadata content key, forming the index-cache key of the artifact
-// pipeline's Index stage.
+// Order-sensitive combination of two content keys. Lexer::DefinitionsKey chains
+// one ContentKey per user token through it, so a list of keys hashes without
+// boundary aliasing (each key is a fixed 8 bytes).
 uint64_t MixKeys(uint64_t a, uint64_t b);
 
 }  // namespace concord

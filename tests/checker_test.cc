@@ -436,51 +436,19 @@ TEST(Checker, NoCoverageOptionKeepsViolations) {
   EXPECT_TRUE(lean.per_config.empty());
 }
 
-TEST(Checker, CheckBatchMatchesSequentialChecks) {
-  LearnedWorld world = LearnWorld();
-  std::string bad = ReplaceAll(GoodConfig(50), "seq 10 permit 10.14.51.34/32",
-                               "seq 10 permit 10.14.77.34/32");
-  Dataset tests = ParseTests(&world, {GoodConfig(48), bad, GoodConfig(49)});
-  std::vector<ConfigIndex> indexes = BuildIndexes(tests);
-
-  Checker checker(&world.set, &tests.patterns);
-  std::vector<Checker::BatchItem> items;
-  std::vector<CheckResult> sequential;
-  for (const ConfigIndex& index : indexes) {
-    Checker::BatchItem item;
-    item.indexes = {&index};
-    items.push_back(std::move(item));
-    sequential.push_back(checker.Check({&index}, CheckOptions{}));
-  }
-
-  std::vector<Checker::BatchOutcome> outcomes = checker.CheckBatch(items);
-  ASSERT_EQ(outcomes.size(), sequential.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok) << outcomes[i].message;
-    EXPECT_TRUE(SameResult(outcomes[i].result, sequential[i])) << "item " << i;
-  }
-}
-
-TEST(Checker, CheckBatchIsolatesDeadlineExpiry) {
+TEST(Checker, ExpiredDeadlineThrowsAndLeavesTheCheckerUsable) {
   LearnedWorld world = LearnWorld();
   Dataset tests = ParseTests(&world, {GoodConfig(48), GoodConfig(49)});
   std::vector<ConfigIndex> indexes = BuildIndexes(tests);
+  std::vector<const ConfigIndex*> ptrs = {&indexes[0], &indexes[1]};
 
   Checker checker(&world.set, &tests.patterns);
-  std::vector<Checker::BatchItem> items(3);
-  items[0].indexes = {&indexes[0]};
-  items[1].indexes = {&indexes[1]};
-  items[1].options.deadline = Deadline::After(0);  // Already expired.
-  items[2].indexes = {&indexes[0], &indexes[1]};
-
-  std::vector<Checker::BatchOutcome> outcomes = checker.CheckBatch(items);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_EQ(outcomes[1].code, ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(outcomes[1].message, "deadline_exceeded");
-  EXPECT_TRUE(outcomes[2].ok);  // The expired slot poisons nothing after it.
-  EXPECT_EQ(outcomes[2].result.configs_checked, 2u);
+  CheckOptions expired;
+  expired.deadline = Deadline::After(0);  // Already expired.
+  EXPECT_THROW(checker.Check(ptrs, expired), DeadlineExceeded);
+  // The expiry poisons nothing: the next check on the same checker succeeds.
+  CheckResult next = checker.Check(ptrs, CheckOptions{});
+  EXPECT_EQ(next.configs_checked, 2u);
 }
 
 TEST(Checker, ViolationMessagesNameTheContractSide) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,15 +15,14 @@ std::shared_ptr<const std::string> Val(const char* s) {
   return std::make_shared<const std::string>(s);
 }
 
-TEST(LruCache, HitMissAndCounters) {
+TEST(LruCache, HitReturnsTheValueAndMissReturnsNull) {
   LruCache<std::string> cache(4);
   EXPECT_EQ(cache.Get(1), nullptr);
   cache.Put(1, Val("one"));
   auto hit = cache.Get(1);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "one");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.Get(2), nullptr);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -67,13 +67,16 @@ TEST(LruCache, EvictedEntriesSurviveViaSharedPtr) {
 
 TEST(LruCache, ConcurrentMixedAccess) {
   LruCache<std::string> cache(16);
+  std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, t] {
+    threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
         uint64_t key = static_cast<uint64_t>((t * 131 + i) % 32);
         if (auto v = cache.Get(key); v == nullptr) {
           cache.Put(key, Val("v"));
+        } else if (*v != "v") {
+          ++wrong;
         }
       }
     });
@@ -82,7 +85,7 @@ TEST(LruCache, ConcurrentMixedAccess) {
     thread.join();
   }
   EXPECT_LE(cache.size(), 16u);
-  EXPECT_EQ(cache.hits() + cache.misses(), 2000u);
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

@@ -292,6 +292,50 @@ TEST_F(ServiceTest, EdgeCorpusBatchMatchesOneShot) {
   EXPECT_EQ(response.Find("report")->Serialize(2), ReadFile(json_path));
 }
 
+// The same metadata text split across two documents is different metadata:
+// `{"vlan": ` and `7}` parse as neither the document nor its `vlan` line. A
+// warm service must answer the split request exactly as a fresh one does, so
+// nothing it caches may be keyed by the concatenated metadata text.
+TEST_F(ServiceTest, SplitMetadataDocumentsAreNotTheWholeDocument) {
+  auto vlan_dir = dir_ / "vlan";
+  std::filesystem::create_directories(vlan_dir);
+  for (int i = 1; i <= 3; ++i) {
+    WriteFile((vlan_dir / ("dev" + std::to_string(i) + ".cfg")).string(),
+              "hostname DEV" + std::to_string(i) + "\nvlan 7\n");
+  }
+  auto meta = [this](const std::string& file, const std::string& text) {
+    std::string path = (dir_ / file).string();
+    WriteFile(path, text);
+    return path;
+  };
+  const std::string whole = meta("whole.meta.json", "{\"vlan\": 7}");
+  const std::string head = meta("head.meta.json", "{\"vlan\": ");
+  const std::string tail = meta("tail.meta.json", "7}");
+  std::string contracts = (dir_ / "vlan_contracts.json").string();
+  ASSERT_EQ(RunCli({"learn", "--configs", (vlan_dir / "*.cfg").string(), "--metadata",
+                    whole, "--support", "2", "--out", contracts}),
+            0);
+  ASSERT_NE(ReadFile(contracts).find("@meta/vlan [a:num]"), std::string::npos);
+  const std::string config = (vlan_dir / "dev1.cfg").string();
+  const std::string split = CheckRequest("check", "vlan", {config}, {head, tail});
+  std::string error;
+
+  Service fresh(ServiceOptions{});
+  ASSERT_TRUE(fresh.LoadContracts("vlan", contracts, &error)) << error;
+  JsonValue expected = Respond(fresh, split);
+  EXPECT_EQ(expected.GetInt("violations"), 1);  // missing @meta/vlan [a:num]
+  ASSERT_NE(expected.Find("report"), nullptr);
+
+  Service warm(ServiceOptions{});
+  ASSERT_TRUE(warm.LoadContracts("vlan", contracts, &error)) << error;
+  JsonValue first = Respond(warm, CheckRequest("check", "vlan", {config}, {whole}));
+  EXPECT_EQ(first.GetInt("violations"), 0);
+  JsonValue second = Respond(warm, split);
+  EXPECT_EQ(second.GetInt("cache_hits"), 1);  // The config's parse is reused.
+  ASSERT_NE(second.Find("report"), nullptr);
+  EXPECT_EQ(second.Find("report")->Serialize(2), expected.Find("report")->Serialize(2));
+}
+
 TEST_F(ServiceTest, CoverageVerbReturnsListing) {
   auto service = MakeService();
   JsonValue response = Respond(*service, CheckRequest("coverage", "edge", ConfigPaths()));

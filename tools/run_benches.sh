@@ -1,30 +1,29 @@
 #!/usr/bin/env bash
 # Runs every experiment harness, teeing per-bench outputs next to an aggregate file.
-# Usage: tools/run_benches.sh [output-dir]   (default: bench_results/)
+# Usage: tools/run_benches.sh [output-dir]   (default: bench_results/) every
+#                                            bench, then the gates as --gates
+#                                            does (output in gates.txt, exit
+#                                            status theirs)
 #        tools/run_benches.sh --serve        smoke-test `concord serve` with canned
 #                                            requests piped through the binary,
 #                                            learning through --store-dir twice
 #        tools/run_benches.sh --smoke        serve smoke plus, when
 #                                            CONCORD_SMOKE_ASAN=1, the sanitized
 #                                            test pass (tools/run_tests_asan.sh)
-#        tools/run_benches.sh --store        durable-store acceptance: cold learn
-#                                            vs warm restart, whose check must be
-#                                            byte-identical; BENCH_STORE.json
-#        tools/run_benches.sh --overload     frontend overload soak: greedy TCP
-#                                            clients vs one well-behaved Unix
-#                                            client; shed rate and p99s written
-#                                            to BENCH_SERVE.json
-#        tools/run_benches.sh --batch        batched-checking acceptance: batch
-#                                            sweep, million-line scale sweep, and
-#                                            the socket-level batch=100 >= 3x
-#                                            gate, merged into BENCH_SERVE.json
-#        tools/run_benches.sh --analyze      contract-set analyzer acceptance:
-#                                            clean learned edge/WAN sets must
-#                                            analyze with zero warning-or-worse
-#                                            findings and the pruned check must
-#                                            stay byte-identical while evaluating
-#                                            strictly fewer contracts, merged
-#                                            into BENCH_SERVE.json
+#        tools/run_benches.sh --gates        the single-shot acceptance gates, in
+#                                            this order; exits non-zero if any
+#                                            fails:
+#             bench_store        warm restart checks byte-identically to a cold
+#                                learn (BENCH_STORE.json)
+#             bench_overload     greedy clients shed with `overloaded`, the
+#                                well-behaved client's p99 in bound (writes
+#                                BENCH_SERVE.json)
+#             bench_batch        socket batch=100 >= 3x sequential, slots
+#                                byte-identical (merged into BENCH_SERVE.json)
+#             bench_analyze      learned sets analyze clean, pruned check equals
+#                                unpruned (merged into BENCH_SERVE.json)
+#             bench_incremental  one-config relearn >= 5x fresh, same bytes
+#                                (BENCH_INCREMENTAL.json)
 set -u
 
 serve_smoke() {
@@ -123,55 +122,31 @@ EOF
     "error envelopes, cache hit on repeat, metrics valid)"
 }
 
-if [ "${1:-}" = "--store" ]; then
-  bench=build/bench/bench_store
-  if [ ! -x "$bench" ]; then
-    echo "error: $bench not built (run: cmake --build build -j)" >&2
-    exit 2
+# bench_overload writes BENCH_SERVE.json whole; bench_batch and bench_analyze
+# merge their sections into it, so they run after it.
+gates() {
+  local benches="bench_store bench_overload bench_batch bench_analyze bench_incremental"
+  local name failed=""
+  for name in $benches; do
+    if [ ! -x "build/bench/$name" ]; then
+      echo "error: build/bench/$name not built (run: cmake --build build -j" \
+        "--target $benches)" >&2
+      exit 2
+    fi
+  done
+  for name in $benches; do
+    echo "== $name"
+    "build/bench/$name" || failed="$failed $name"
+  done
+  if [ -n "$failed" ]; then
+    echo "gates FAILED:$failed" >&2
+    exit 1
   fi
-  # Exits non-zero unless the warm-restart check response was byte-identical
-  # to the cold run's.
-  "$bench" || exit 1
-  exit 0
-fi
+  echo "gates OK ($benches)"
+}
 
-if [ "${1:-}" = "--overload" ]; then
-  bench=build/bench/bench_overload
-  if [ ! -x "$bench" ]; then
-    echo "error: $bench not built (run: cmake --build build -j)" >&2
-    exit 2
-  fi
-  # Exits non-zero unless every request got exactly one response, the greedy
-  # clients were shed with structured `overloaded` envelopes, and the
-  # well-behaved client's p99 stayed within the acceptance bound.
-  "$bench" || exit 1
-  exit 0
-fi
-
-if [ "${1:-}" = "--batch" ]; then
-  bench=build/bench/bench_batch
-  if [ ! -x "$bench" ]; then
-    echo "error: $bench not built (run: cmake --build build -j)" >&2
-    exit 2
-  fi
-  # Exits non-zero unless the socket-level batch=100 check beat 100 sequential
-  # single-config checks by >= 3x with check_batch slots byte-identical to the
-  # standalone responses (merged into BENCH_SERVE.json under "batch").
-  "$bench" || exit 1
-  exit 0
-fi
-
-if [ "${1:-}" = "--analyze" ]; then
-  bench=build/bench/bench_analyze
-  if [ ! -x "$bench" ]; then
-    echo "error: $bench not built (run: cmake --build build -j)" >&2
-    exit 2
-  fi
-  # Exits non-zero unless both learned sets analyzed with zero warning-or-worse
-  # findings and the --prune-subsumed coverage-off check was byte-identical to
-  # the unpruned one while evaluating strictly fewer contracts (merged into
-  # BENCH_SERVE.json under "analyze").
-  "$bench" || exit 1
+if [ "${1:-}" = "--gates" ]; then
+  gates
   exit 0
 fi
 
@@ -194,53 +169,16 @@ for b in build/bench/*; do
   [ -x "$b" ] || continue
   name="$(basename "$b")"
   case "$name" in
+    bench_store|bench_overload|bench_batch|bench_analyze|bench_incremental)
+      continue ;;  # The gates, run below in their order.
     bench_micro|bench_serve) "$b" --benchmark_min_time=0.05 > "$out/$name.txt" 2>&1 ;;
-    bench_incremental)
-      # Writes BENCH_INCREMENTAL.json in the working directory and exits non-zero
-      # if the single-config delta misses the >=5x acceptance bar.
-      if ! "$b" > "$out/$name.txt" 2>&1; then
-        echo "bench_incremental acceptance FAILED (see $out/$name.txt)" >&2
-      fi
-      [ -f BENCH_INCREMENTAL.json ] && cp -f BENCH_INCREMENTAL.json "$out/"
-      ;;
-    bench_store)
-      # Writes BENCH_STORE.json; non-zero means the warm-restart check
-      # response diverged from the cold run's.
-      if ! "$b" > "$out/$name.txt" 2>&1; then
-        echo "bench_store acceptance FAILED (see $out/$name.txt)" >&2
-      fi
-      [ -f BENCH_STORE.json ] && cp -f BENCH_STORE.json "$out/"
-      ;;
-    bench_overload)
-      # Writes BENCH_SERVE.json; non-zero means load was dropped silently or
-      # the well-behaved client's p99 blew the acceptance bound.
-      if ! "$b" > "$out/$name.txt" 2>&1; then
-        echo "bench_overload acceptance FAILED (see $out/$name.txt)" >&2
-      fi
-      [ -f BENCH_SERVE.json ] && cp -f BENCH_SERVE.json "$out/"
-      ;;
-    bench_batch|bench_analyze) continue ;;  # Deferred below: must run after bench_overload.
     *) "$b" > "$out/$name.txt" 2>&1 ;;
   esac
   echo "== $name -> $out/$name.txt"
 done
-if [ -x build/bench/bench_batch ]; then
-  # Merges a "batch" section into BENCH_SERVE.json; runs after the loop because
-  # bench_overload overwrites that file wholesale. Non-zero means the batch=100
-  # socket gate missed 3x or a batched report diverged from the sequential one.
-  if ! build/bench/bench_batch > "$out/bench_batch.txt" 2>&1; then
-    echo "bench_batch acceptance FAILED (see $out/bench_batch.txt)" >&2
-  fi
-  [ -f BENCH_SERVE.json ] && cp -f BENCH_SERVE.json "$out/"
-  echo "== bench_batch -> $out/bench_batch.txt"
-fi
-if [ -x build/bench/bench_analyze ]; then
-  # Merges an "analyze" section into BENCH_SERVE.json (same deferral as
-  # bench_batch). Non-zero means a learned set analyzed dirty or the pruned
-  # check diverged from the unpruned one.
-  if ! build/bench/bench_analyze > "$out/bench_analyze.txt" 2>&1; then
-    echo "bench_analyze acceptance FAILED (see $out/bench_analyze.txt)" >&2
-  fi
-  [ -f BENCH_SERVE.json ] && cp -f BENCH_SERVE.json "$out/"
-  echo "== bench_analyze -> $out/bench_analyze.txt"
-fi
+# In a subshell, so a failed gate still copies the results the gates wrote.
+(gates) > "$out/gates.txt" 2>&1
+status=$?
+cp -f BENCH_STORE.json BENCH_SERVE.json BENCH_INCREMENTAL.json "$out/" 2>/dev/null
+echo "== gates -> $out/gates.txt (exit $status)"
+exit "$status"
