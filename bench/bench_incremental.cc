@@ -20,32 +20,28 @@
 namespace concord {
 namespace {
 
-constexpr int kIterations = 5;
+constexpr int kIterations = 11;
 
 double Median(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
 }
 
-// One from-scratch learn, as `concord learn` runs it: parse the whole corpus into
-// a fresh dataset, then mine it.
-double TimeFullRelearn(const GeneratedCorpus& corpus, const LearnOptions& options,
-                       const Lexer& lexer, std::string* out_contracts) {
-  std::vector<double> samples;
-  for (int i = 0; i < kIterations; ++i) {
-    Stopwatch watch;
-    Dataset dataset = ParseCorpus(corpus, ParseOptions{}, &lexer);
-    LearnResult result = Learner(options).Learn(dataset);
-    samples.push_back(watch.ElapsedSeconds());
-    *out_contracts = SerializeContracts(result.set, dataset.patterns);
-  }
-  return Median(std::move(samples));
-}
+struct RelearnTimes {
+  double full_s = 0;
+  double delta_s = 0;
+  std::string delta_contracts;  // The last delta relearn's serialized set.
+};
 
-// One delta relearn: replace a single config's text in the resident store and
-// learn again. Everything but that config's Parse/Index/Mine artifacts is reused.
-double TimeDeltaRelearn(const GeneratedCorpus& corpus, const LearnOptions& options,
-                        const Lexer& lexer, std::string* out_contracts) {
+// Times the two relearns in alternation, one of each per round, so load on a
+// shared host lands on both sides of the ratio alike.
+//
+// Full: one from-scratch learn, as `concord learn` runs it: parse the whole
+// corpus into a fresh dataset, then mine it.
+// Delta: replace a single config's text in the resident store and learn again.
+// Everything but that config's Parse/Index/Mine artifacts is reused.
+RelearnTimes TimeRelearns(const GeneratedCorpus& corpus, const LearnOptions& options,
+                          const Lexer& lexer) {
   ArtifactStore store(&lexer, ParseOptions{});
   for (const GeneratedConfig& config : corpus.configs) {
     store.Upsert(config.name, config.text);
@@ -59,20 +55,30 @@ double TimeDeltaRelearn(const GeneratedCorpus& corpus, const LearnOptions& optio
   (void)warm;
 
   const GeneratedConfig& target = corpus.configs[corpus.configs.size() / 2];
-  std::vector<double> samples;
+  RelearnTimes times;
+  std::vector<double> full;
+  std::vector<double> delta;
   for (int i = 0; i < kIterations; ++i) {
-    // A genuinely new text each iteration, so the delta is never a parse hit.
+    {
+      Stopwatch watch;
+      Dataset dataset = ParseCorpus(corpus, ParseOptions{}, &lexer);
+      LearnResult result = Learner(options).Learn(dataset);
+      full.push_back(watch.ElapsedSeconds());
+    }
+    // A genuinely new text each round, so the delta is never a parse hit.
     std::string text = target.text + "snmp-server community bench" +
                        std::to_string(i) + "\n";
     Stopwatch watch;
     store.Upsert(target.name, text);
     LearnResult result = Learner(options).Learn(store);
-    samples.push_back(watch.ElapsedSeconds());
-    *out_contracts = SerializeContracts(result.set, store.patterns());
+    delta.push_back(watch.ElapsedSeconds());
+    times.delta_contracts = SerializeContracts(result.set, store.patterns());
   }
-  // Leave the store holding the last iteration's text; callers that want to
-  // cross-check against a from-scratch learn must apply the same edit.
-  return Median(std::move(samples));
+  // The store ends holding the last round's text; a cross-check against a
+  // from-scratch learn must apply the same edit.
+  times.full_s = Median(std::move(full));
+  times.delta_s = Median(std::move(delta));
+  return times;
 }
 
 }  // namespace
@@ -81,7 +87,7 @@ double TimeDeltaRelearn(const GeneratedCorpus& corpus, const LearnOptions& optio
 int main() {
   using namespace concord;
   std::printf("Incremental relearn: full from-scratch vs. single-config delta "
-              "(scale=%d, median of %d)\n\n",
+              "(scale=%d, median of %d interleaved rounds)\n\n",
               BenchScale(), kIterations);
   std::printf("%-8s %8s %10s %12s %12s %9s\n", "Dataset", "Configs", "Lines", "Full",
               "Delta", "Speedup");
@@ -96,10 +102,9 @@ int main() {
     Lexer lexer;
     LearnOptions options = BenchLearnOptions();
 
-    std::string full_contracts;
-    std::string delta_contracts;
-    double full = TimeFullRelearn(corpus, options, lexer, &full_contracts);
-    double delta = TimeDeltaRelearn(corpus, options, lexer, &delta_contracts);
+    const RelearnTimes times = TimeRelearns(corpus, options, lexer);
+    const double full = times.full_s;
+    const double delta = times.delta_s;
 
     // Cross-check: the delta path's final state must match a from-scratch learn
     // of the identically edited corpus (the bit-identity invariant under time).
@@ -109,7 +114,7 @@ int main() {
     Dataset dataset = ParseCorpus(edited, ParseOptions{}, &lexer);
     LearnResult scratch = Learner(options).Learn(dataset);
     bool identical =
-        SerializeContracts(scratch.set, dataset.patterns) == delta_contracts;
+        SerializeContracts(scratch.set, dataset.patterns) == times.delta_contracts;
 
     double speedup = delta > 0 ? full / delta : 0;
     size_t lines = dataset.TotalLines();

@@ -16,10 +16,14 @@ namespace {
 
 void BM_LexLine(benchmark::State& state) {
   Lexer lexer;
+  LineLex lex;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lexer.Lex("seq 10 permit 10.14.14.34/32"));
-    benchmark::DoNotOptimize(lexer.Lex("route-target import 00:00:0c:d3:00:6e"));
-    benchmark::DoNotOptimize(lexer.Lex("rd 10.14.14.117:10251"));
+    lexer.Lex("seq 10 permit 10.14.14.34/32", &lex);
+    benchmark::DoNotOptimize(lex);
+    lexer.Lex("route-target import 00:00:0c:d3:00:6e", &lex);
+    benchmark::DoNotOptimize(lex);
+    lexer.Lex("rd 10.14.14.117:10251", &lex);
+    benchmark::DoNotOptimize(lex);
   }
   state.SetItemsProcessed(state.iterations() * 3);
 }
@@ -29,9 +33,12 @@ void BM_LexLineWithCustomTokens(benchmark::State& state) {
   Lexer lexer;
   lexer.AddCustomToken("iface", "([aA]e|[eE]t|[pP]o)-?[0-9]+");
   lexer.AddCustomToken("path", "/[a-zA-Z0-9._/-]+");
+  LineLex lex;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lexer.Lex("interface et42 description uplink"));
-    benchmark::DoNotOptimize(lexer.Lex("key file /etc/keys/bgp.key"));
+    lexer.Lex("interface et42 description uplink", &lex);
+    benchmark::DoNotOptimize(lex);
+    lexer.Lex("key file /etc/keys/bgp.key", &lex);
+    benchmark::DoNotOptimize(lex);
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }

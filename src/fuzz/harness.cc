@@ -452,7 +452,12 @@ struct LearnedCorpus {
   std::vector<const ConfigIndex*> index_ptrs;
 };
 
-void LearnCorpus(const GeneratedCorpus& corpus, const OracleOptions& options,
+// Also the parse half of the parallel_identity oracle: ParseConfigs in
+// `parallelism` blocks (more blocks than files in some cases, which it caps)
+// must give the pattern table and parsed lines of the serial ConfigParser
+// loop. A block boundary is where a parser's reused buffers could carry one
+// file's state into the next.
+void LearnCorpus(const GeneratedCorpus& corpus, int parallelism, const OracleOptions& options,
                  const Deadline& deadline, LearnedCorpus* out) {
   ParseOptions parse_options;
   LearnOptions learn_options;
@@ -464,6 +469,21 @@ void LearnCorpus(const GeneratedCorpus& corpus, const OracleOptions& options,
   for (const GeneratedConfig& config : corpus.configs) {
     dataset.configs.push_back(parser.Parse(config.name, config.text));
     ThrowIfExpired(deadline);
+  }
+  std::vector<ConfigSource> files;
+  for (const GeneratedConfig& config : corpus.configs) {
+    files.push_back(ConfigSource{&config.name, &config.text});
+  }
+  Dataset blocked;
+  std::vector<ParseFailure> failures =
+      ParseConfigs(lexer, parse_options, files, parallelism, &blocked, deadline);
+  if (!failures.empty()) {
+    throw std::runtime_error(failures.front().reason);
+  }
+  if (std::string diff = FirstParseDifference(dataset, blocked); !diff.empty()) {
+    throw OracleMismatch{"parallel_identity", "parse in " + std::to_string(parallelism) +
+                                                  " blocks differs from the serial loop: " +
+                                                  diff};
   }
   for (const GeneratedConfig& doc : corpus.metadata) {
     std::vector<ParsedLine> lines = parser.ParseMetadata(doc.text);
@@ -659,11 +679,11 @@ TriageResult RunOracles(const GeneratedCorpus& corpus, const OracleOptions& opti
   try {
     RunLearnIdentityOracle(corpus, options, deadline);
     RunServeIdentityOracle(corpus, options, deadline);
+    const int parallelism = 2 + static_cast<int>(CorpusFingerprint(corpus) % 6);
     LearnedCorpus learned;
-    LearnCorpus(corpus, options, deadline, &learned);
+    LearnCorpus(corpus, parallelism, options, deadline, &learned);
     RunAnalyzePruneOracle(learned, options, deadline);
-    RunParallelIdentityOracle(learned, 2 + static_cast<int>(CorpusFingerprint(corpus) % 6),
-                              options, deadline);
+    RunParallelIdentityOracle(learned, parallelism, options, deadline);
   } catch (const OracleMismatch& mismatch) {
     result.bucket = TriageBucket::kMismatch;
     result.oracle = mismatch.oracle;

@@ -14,9 +14,11 @@
 //                          coverage-off check with its subsumption prune mask
 //                          must flag exactly the same configs as the unpruned
 //                          check — byte-identically when the corpus is clean;
-//   4. parallel identity — checking the learned set at a parallelism k in
-//                          2..7, drawn from the corpus fingerprint, renders
-//                          the report and coverage bytes of the serial check;
+//   4. parallel identity — parsing the corpus in k blocks, k in 2..7 drawn
+//                          from the corpus fingerprint, gives the pattern
+//                          table and lines of the serial parse loop; checking
+//                          the learned set at parallelism k renders the
+//                          report and coverage bytes of the serial check;
 //                          the configs repeat until the batch spans more than
 //                          one 32-config tile of the scan grid;
 //   5. never crash/hang  — the whole pipeline runs under a deadline; any

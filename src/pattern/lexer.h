@@ -14,7 +14,6 @@
 #define SRC_PATTERN_LEXER_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,12 +23,15 @@
 
 namespace concord {
 
-// Result of lexing one line.
+// Result of lexing one line. Lex clears and refills it but keeps its capacity,
+// so a caller that lexes every line into one LineLex stops allocating once its
+// buffers have grown to the longest line.
 struct LineLex {
   std::string pattern_named;    // `seq [a:num] permit [b:pfx4]`.
   std::string pattern_unnamed;  // `seq [num] permit [pfx4]` (for context embedding).
   std::string untyped;          // `seq [a:?] permit [b:?]` (for type contracts).
   std::vector<Value> values;    // Captured values, in order.
+  Regex::Scratch scratch;       // Custom-token simulation buffers.
 };
 
 class Lexer {
@@ -45,8 +47,8 @@ class Lexer {
   // '#' comments and blank lines are ignored.
   bool LoadDefinitions(const std::string& text, std::string* error = nullptr);
 
-  // Lexes a single (already context-trimmed) line.
-  LineLex Lex(std::string_view text) const;
+  // Lexes a single (already context-trimmed) line into *out.
+  void Lex(std::string_view text, LineLex* out) const;
 
   size_t num_custom_tokens() const { return custom_.size(); }
 
@@ -66,14 +68,11 @@ class Lexer {
     Regex regex;
   };
 
-  struct TokenMatch {
-    size_t length = 0;
-    std::string type_name;  // Token name for the pattern hole.
-    Value value;
-  };
-
-  std::optional<TokenMatch> MatchAt(std::string_view text, size_t pos,
-                                    Regex::Scratch* scratch) const;
+  // Finds the longest token at `pos` and appends its value to out->values;
+  // only the winner builds a Value. Returns the token's length and sets
+  // *type_name to its hole type, or returns 0 when no token starts at `pos`.
+  size_t MatchAt(std::string_view text, size_t pos, LineLex* out,
+                 std::string_view* type_name) const;
 
   std::vector<CustomToken> custom_;
 };

@@ -1,6 +1,7 @@
 #include "src/pattern/parser.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -32,49 +33,62 @@ size_t Dataset::TotalParameters() const {
 ConfigParser::ConfigParser(const Lexer* lexer, PatternTable* table, ParseOptions options)
     : lexer_(lexer), table_(table), options_(options) {}
 
-const std::string& ConfigParser::ParentPattern(const std::string& raw) {
+std::string_view ConfigParser::ParentPattern(std::string_view raw) {
   auto it = parent_cache_.find(raw);
   if (it != parent_cache_.end()) {
     return it->second;
   }
-  LineLex lex = lexer_->Lex(raw);
-  return parent_cache_.emplace(raw, std::move(lex.pattern_unnamed)).first->second;
+  lexer_->Lex(raw, &lex_);
+  return parent_cache_.emplace(std::string(raw), lex_.pattern_unnamed).first->second;
 }
 
 ParsedConfig ConfigParser::ParseEmbedded(const std::string& name, const EmbeddedFile& embedded,
-                                         const std::string& context_root) {
+                                         std::string_view context_root) {
   ParsedConfig config;
   config.name = name;
   config.format = embedded.format;
   config.lines.reserve(embedded.lines.size());
 
-  for (const ContextLine& line : embedded.lines) {
-    // Context prefix from the (unnamed) parent patterns.
-    std::string context = context_root;
-    for (const std::string& parent : line.parents) {
-      context += "/";
-      context += ParentPattern(parent);
-    }
-    context += "/";
+  // Context prefixes, once per parent: the parent's own parent's prefix, then
+  // its unnamed pattern and '/'. A parent's parent comes before it, so its
+  // prefix is always built first.
+  root_context_.assign(context_root);
+  root_context_ += '/';
+  if (parent_contexts_.size() < embedded.parents.size()) {
+    parent_contexts_.resize(embedded.parents.size());
+  }
+  auto context_of = [this](int parent) -> const std::string& {
+    return parent == kNoParent ? root_context_
+                               : parent_contexts_[static_cast<size_t>(parent)];
+  };
+  for (size_t i = 0; i < embedded.parents.size(); ++i) {
+    const ContextParent& parent = embedded.parents[i];
+    std::string& context = parent_contexts_[i];
+    context.assign(context_of(parent.parent));
+    context += ParentPattern(parent.text);
+    context += '/';
+  }
 
-    LineLex lex = lexer_->Lex(line.text);
+  for (const ContextLine& line : embedded.lines) {
+    const std::string& context = context_of(line.parent);
+
+    lexer_->Lex(line.text, &lex_);
     ParsedLine parsed;
     parsed.line_number = line.line_number;
-    parsed.values = std::move(lex.values);
 
     // Probe with a reused scratch buffer first: patterns repeat heavily, so the
     // common case is a hit that materializes none of the three concatenations.
     scratch_.assign(context);
-    scratch_ += lex.pattern_named;
+    scratch_ += lex_.pattern_named;
     parsed.pattern = table_->Find(scratch_);
     if (parsed.pattern == kInvalidPattern) {
       std::vector<ValueType> types;
-      types.reserve(parsed.values.size());
-      for (const Value& v : parsed.values) {
+      types.reserve(lex_.values.size());
+      for (const Value& v : lex_.values) {
         types.push_back(v.type());
       }
-      parsed.pattern = table_->Intern(scratch_, context + lex.untyped,
-                                      context + lex.pattern_unnamed, std::move(types));
+      parsed.pattern = table_->Intern(scratch_, context + lex_.untyped,
+                                      context + lex_.pattern_unnamed, std::move(types));
     }
 
     if (options_.constants) {
@@ -89,6 +103,9 @@ ParsedConfig ConfigParser::ParseEmbedded(const std::string& name, const Embedded
             table_->Intern(const_text, const_text, const_text, {}, /*is_constant=*/true);
       }
     }
+    // Exactly sized, so a line with values makes one allocation and one without none.
+    parsed.values.assign(std::make_move_iterator(lex_.values.begin()),
+                         std::make_move_iterator(lex_.values.end()));
     config.lines.push_back(std::move(parsed));
   }
   return config;
@@ -200,6 +217,41 @@ std::vector<ParseFailure> ParseConfigs(const Lexer& lexer, ParseOptions options,
     }
   }
   return failures;
+}
+
+std::string FirstParseDifference(const Dataset& want, const Dataset& got) {
+  if (want.patterns.size() != got.patterns.size()) {
+    return "pattern count " + std::to_string(want.patterns.size()) + " vs " +
+           std::to_string(got.patterns.size());
+  }
+  for (PatternId id = 0; id < want.patterns.size(); ++id) {
+    const PatternInfo& a = want.patterns.Get(id);
+    const PatternInfo& b = got.patterns.Get(id);
+    if (a.text != b.text || a.untyped != b.untyped || a.unnamed != b.unnamed ||
+        a.param_types != b.param_types || a.is_constant != b.is_constant) {
+      return "pattern " + std::to_string(id) + ": " + a.text + " vs " + b.text;
+    }
+  }
+  if (want.configs.size() != got.configs.size()) {
+    return "config count " + std::to_string(want.configs.size()) + " vs " +
+           std::to_string(got.configs.size());
+  }
+  for (size_t c = 0; c < want.configs.size(); ++c) {
+    const ParsedConfig& a = want.configs[c];
+    const ParsedConfig& b = got.configs[c];
+    if (a.name != b.name || a.format != b.format || a.lines.size() != b.lines.size()) {
+      return "config " + a.name + " vs " + b.name;
+    }
+    for (size_t l = 0; l < a.lines.size(); ++l) {
+      const ParsedLine& x = a.lines[l];
+      const ParsedLine& y = b.lines[l];
+      if (x.pattern != y.pattern || x.const_pattern != y.const_pattern ||
+          x.values != y.values || x.line_number != y.line_number) {
+        return a.name + " line " + std::to_string(l);
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace concord

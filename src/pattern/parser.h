@@ -13,6 +13,7 @@
 #define SRC_PATTERN_PARSER_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -67,16 +68,23 @@ class ConfigParser {
 
  private:
   ParsedConfig ParseEmbedded(const std::string& name, const EmbeddedFile& embedded,
-                             const std::string& context_root);
+                             std::string_view context_root);
 
   // Parent raw text -> unnamed pattern text (memoized; parents repeat heavily).
-  const std::string& ParentPattern(const std::string& raw);
+  std::string_view ParentPattern(std::string_view raw);
 
   const Lexer* lexer_;
   PatternTable* table_;
   ParseOptions options_;
-  std::unordered_map<std::string, std::string> parent_cache_;
-  std::string scratch_;  // Reused pattern-text probe buffer (see ParseEmbedded).
+  std::unordered_map<std::string, std::string, TextHash, std::equal_to<>> parent_cache_;
+  // Buffers every file reuses, keeping their capacity, so that a line
+  // allocates only its values vector.
+  LineLex lex_;
+  std::string root_context_;  // The prefix of top-level lines, e.g. `/`.
+  // The prefix of each parent's children, by EmbeddedFile::parents index, e.g.
+  // `/router bgp [num]/`. Holds at least as many strings as the file has parents.
+  std::vector<std::string> parent_contexts_;
+  std::string scratch_;  // Pattern-text probe (see ParseEmbedded).
 };
 
 // One configuration file for ParseConfigs; both strings must outlive the call.
@@ -111,6 +119,12 @@ std::vector<ParseFailure> ParseConfigs(const Lexer& lexer, ParseOptions options,
                                        const std::vector<ConfigSource>& files,
                                        int parallelism, Dataset* dataset,
                                        const Deadline& deadline = Deadline::Never());
+
+// Empty when the datasets hold the same patterns, every field in id order, and
+// the same configs line for line (pattern ids, values, line numbers);
+// otherwise the first difference. Metadata is not compared. The oracle that
+// holds ParseConfigs to a serial ConfigParser loop, in tests and fuzzing.
+std::string FirstParseDifference(const Dataset& want, const Dataset& got);
 
 }  // namespace concord
 

@@ -1,5 +1,6 @@
 #include "src/pattern/pattern_table.h"
 
+#include <charconv>
 #include <stdexcept>
 #include <utility>
 
@@ -36,10 +37,20 @@ PatternId PatternTable::Find(std::string_view text) const {
 }
 
 std::string PatternTable::ParamName(size_t index) {
+  std::string name;
+  AppendParamName(index, &name);
+  return name;
+}
+
+void PatternTable::AppendParamName(size_t index, std::string* out) {
   if (index < 26) {
-    return std::string(1, static_cast<char>('a' + index));
+    out->push_back(static_cast<char>('a' + index));
+    return;
   }
-  return "p" + std::to_string(index);
+  char digits[20];
+  char* end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
+  out->push_back('p');
+  out->append(digits, end);
 }
 
 }  // namespace concord

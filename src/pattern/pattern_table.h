@@ -27,6 +27,15 @@ namespace concord {
 using PatternId = uint32_t;
 inline constexpr PatternId kInvalidPattern = 0xffffffffu;
 
+// Transparent string hash: with std::equal_to<>, an unordered_map keyed by
+// std::string can be probed with a string_view, materializing no string.
+struct TextHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
 struct PatternInfo {
   std::string text;                    // Canonical named form, with context path.
   std::string untyped;                 // Types erased: `ip address [a:?]` (type contracts).
@@ -101,6 +110,8 @@ class PatternTable {
 
   // Name of the `index`-th parameter ('a', 'b', ..., then p26, p27, ...).
   static std::string ParamName(size_t index);
+  // Appends ParamName(index) to *out without building a string of its own.
+  static void AppendParamName(size_t index, std::string* out);
 
  private:
   // 8192 patterns per chunk, up to 16M patterns; the chunk pointer array stays
@@ -125,14 +136,6 @@ class PatternTable {
     }
     size_.store(n, std::memory_order_relaxed);
   }
-
-  // Transparent hash/eq so Find/Intern can probe with a string_view directly.
-  struct TextHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
 
   std::unordered_map<std::string, PatternId, TextHash, std::equal_to<>> by_text_;
   std::array<std::unique_ptr<PatternInfo[]>, kMaxChunks> chunks_;

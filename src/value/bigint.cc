@@ -1,97 +1,127 @@
 #include "src/value/bigint.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/util/strings.h"
 
 namespace concord {
 
-BigInt::BigInt(uint64_t value) {
-  if (value != 0) {
-    limbs_.push_back(static_cast<uint32_t>(value & 0xffffffffULL));
-    uint32_t hi = static_cast<uint32_t>(value >> 32);
-    if (hi != 0) {
-      limbs_.push_back(hi);
-    }
+namespace {
+
+uint32_t HexDigitValue(char c) {
+  if (IsDigit(c)) {
+    return static_cast<uint32_t>(c - '0');
   }
+  if (c >= 'a' && c <= 'f') {
+    return static_cast<uint32_t>(c - 'a' + 10);
+  }
+  return static_cast<uint32_t>(c - 'A' + 10);
 }
 
-void BigInt::Normalize() {
-  while (!limbs_.empty() && limbs_.back() == 0) {
-    limbs_.pop_back();
+}  // namespace
+
+std::vector<uint32_t> BigInt::Limbs() const {
+  if (!limbs_.empty()) {
+    return limbs_;
   }
+  std::vector<uint32_t> limbs;
+  if (small_ != 0) {
+    limbs.push_back(static_cast<uint32_t>(small_ & 0xffffffffULL));
+    if (uint32_t hi = static_cast<uint32_t>(small_ >> 32); hi != 0) {
+      limbs.push_back(hi);
+    }
+  }
+  return limbs;
+}
+
+BigInt BigInt::FromLimbs(std::vector<uint32_t> limbs) {
+  while (!limbs.empty() && limbs.back() == 0) {
+    limbs.pop_back();
+  }
+  BigInt out;
+  if (limbs.size() > 2) {
+    out.limbs_ = std::move(limbs);
+  } else {
+    for (size_t i = limbs.size(); i-- > 0;) {
+      out.small_ = (out.small_ << 32) | limbs[i];
+    }
+  }
+  return out;
 }
 
 std::optional<BigInt> BigInt::FromDecimal(std::string_view s) {
   if (!IsAllDigits(s)) {
     return std::nullopt;
   }
-  BigInt out;
-  for (char c : s) {
-    // out = out * 10 + digit.
-    uint64_t carry = static_cast<uint64_t>(c - '0');
-    for (uint32_t& limb : out.limbs_) {
+  // Accumulate inline until the next digit would pass 2^64 - 1.
+  uint64_t value = 0;
+  size_t i = 0;
+  for (; i < s.size(); ++i) {
+    const uint64_t digit = static_cast<uint64_t>(s[i] - '0');
+    if (value > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      break;
+    }
+    value = value * 10 + digit;
+  }
+  if (i == s.size()) {
+    return BigInt(value);
+  }
+  std::vector<uint32_t> limbs = BigInt(value).Limbs();
+  for (; i < s.size(); ++i) {
+    // limbs = limbs * 10 + digit.
+    uint64_t carry = static_cast<uint64_t>(s[i] - '0');
+    for (uint32_t& limb : limbs) {
       uint64_t cur = static_cast<uint64_t>(limb) * 10 + carry;
       limb = static_cast<uint32_t>(cur & 0xffffffffULL);
       carry = cur >> 32;
     }
     while (carry != 0) {
-      out.limbs_.push_back(static_cast<uint32_t>(carry & 0xffffffffULL));
+      limbs.push_back(static_cast<uint32_t>(carry & 0xffffffffULL));
       carry >>= 32;
     }
   }
-  out.Normalize();
-  return out;
+  return FromLimbs(std::move(limbs));
 }
 
 std::optional<BigInt> BigInt::FromHex(std::string_view s) {
-  if (s.empty()) {
+  if (s.empty() || !std::all_of(s.begin(), s.end(), IsHexDigit)) {
     return std::nullopt;
   }
-  BigInt out;
-  // Build limbs from the least-significant end, 8 hex digits per limb.
-  size_t n = s.size();
-  for (char c : s) {
-    if (!IsHexDigit(c)) {
-      return std::nullopt;
+  const size_t first = std::min(s.find_first_not_of('0'), s.size());
+  const std::string_view digits = s.substr(first);
+  if (digits.size() <= 16) {
+    uint64_t value = 0;
+    for (char c : digits) {
+      value = (value << 4) | HexDigitValue(c);
     }
+    return BigInt(value);
   }
-  size_t num_limbs = (n + 7) / 8;
-  out.limbs_.resize(num_limbs, 0);
+  // Build limbs from the least-significant end, 8 hex digits per limb.
+  const size_t n = digits.size();
+  std::vector<uint32_t> limbs((n + 7) / 8, 0);
   for (size_t i = 0; i < n; ++i) {
     // Digit i from the end contributes 4 bits at offset 4*i.
-    char c = s[n - 1 - i];
-    uint32_t digit;
-    if (IsDigit(c)) {
-      digit = static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint32_t>(c - 'a' + 10);
-    } else {
-      digit = static_cast<uint32_t>(c - 'A' + 10);
-    }
-    out.limbs_[i / 8] |= digit << (4 * (i % 8));
+    limbs[i / 8] |= HexDigitValue(digits[n - 1 - i]) << (4 * (i % 8));
   }
-  out.Normalize();
-  return out;
+  return FromLimbs(std::move(limbs));
 }
 
 std::optional<uint64_t> BigInt::ToUint64() const {
-  if (limbs_.size() > 2) {
+  if (!limbs_.empty()) {
     return std::nullopt;
   }
-  uint64_t value = 0;
-  if (limbs_.size() >= 2) {
-    value = static_cast<uint64_t>(limbs_[1]) << 32;
-  }
-  if (!limbs_.empty()) {
-    value |= limbs_[0];
-  }
-  return value;
+  return small_;
 }
 
 int BigInt::Compare(const BigInt& other) const {
+  // An inline value is below every limb value, and limb values are normalized,
+  // so more limbs means larger.
   if (limbs_.size() != other.limbs_.size()) {
     return limbs_.size() < other.limbs_.size() ? -1 : 1;
+  }
+  if (limbs_.empty()) {
+    return small_ == other.small_ ? 0 : (small_ < other.small_ ? -1 : 1);
   }
   for (size_t i = limbs_.size(); i-- > 0;) {
     if (limbs_[i] != other.limbs_[i]) {
@@ -102,53 +132,63 @@ int BigInt::Compare(const BigInt& other) const {
 }
 
 BigInt BigInt::Add(const BigInt& other) const {
-  BigInt out;
-  size_t n = std::max(limbs_.size(), other.limbs_.size());
-  out.limbs_.resize(n, 0);
+  if (limbs_.empty() && other.limbs_.empty()) {
+    const uint64_t sum = small_ + other.small_;
+    if (sum >= small_) {
+      return BigInt(sum);
+    }
+    // The sum wrapped past 2^64: the carry is a third limb.
+    BigInt out;
+    out.limbs_ = {static_cast<uint32_t>(sum & 0xffffffffULL),
+                  static_cast<uint32_t>(sum >> 32), 1};
+    return out;
+  }
+  const std::vector<uint32_t> a = Limbs();
+  const std::vector<uint32_t> b = other.Limbs();
+  std::vector<uint32_t> sum(std::max(a.size(), b.size()) + 1, 0);
   uint64_t carry = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t a = i < limbs_.size() ? limbs_[i] : 0;
-    uint64_t b = i < other.limbs_.size() ? other.limbs_[i] : 0;
-    uint64_t cur = a + b + carry;
-    out.limbs_[i] = static_cast<uint32_t>(cur & 0xffffffffULL);
+  for (size_t i = 0; i + 1 < sum.size(); ++i) {
+    uint64_t cur = carry;
+    if (i < a.size()) {
+      cur += a[i];
+    }
+    if (i < b.size()) {
+      cur += b[i];
+    }
+    sum[i] = static_cast<uint32_t>(cur & 0xffffffffULL);
     carry = cur >> 32;
   }
-  if (carry != 0) {
-    out.limbs_.push_back(static_cast<uint32_t>(carry));
-  }
-  return out;
+  sum.back() = static_cast<uint32_t>(carry);
+  return FromLimbs(std::move(sum));
 }
 
 BigInt BigInt::AbsDiff(const BigInt& other) const {
-  const BigInt* hi = this;
-  const BigInt* lo = &other;
-  if (Compare(other) < 0) {
-    std::swap(hi, lo);
+  if (limbs_.empty() && other.limbs_.empty()) {
+    return BigInt(small_ > other.small_ ? small_ - other.small_ : other.small_ - small_);
   }
-  BigInt out;
-  out.limbs_.resize(hi->limbs_.size(), 0);
+  const bool this_larger = Compare(other) >= 0;
+  const std::vector<uint32_t> hi = this_larger ? Limbs() : other.Limbs();
+  const std::vector<uint32_t> lo = this_larger ? other.Limbs() : Limbs();
+  std::vector<uint32_t> diff(hi.size(), 0);
   int64_t borrow = 0;
-  for (size_t i = 0; i < hi->limbs_.size(); ++i) {
-    int64_t a = hi->limbs_[i];
-    int64_t b = i < lo->limbs_.size() ? lo->limbs_[i] : 0;
-    int64_t cur = a - b - borrow;
+  for (size_t i = 0; i < hi.size(); ++i) {
+    int64_t cur = int64_t{hi[i]} - (i < lo.size() ? int64_t{lo[i]} : 0) - borrow;
     if (cur < 0) {
       cur += int64_t{1} << 32;
       borrow = 1;
     } else {
       borrow = 0;
     }
-    out.limbs_[i] = static_cast<uint32_t>(cur);
+    diff[i] = static_cast<uint32_t>(cur);
   }
-  out.Normalize();
-  return out;
+  return FromLimbs(std::move(diff));
 }
 
 std::string BigInt::ToDecimal() const {
-  if (limbs_.size() <= 2) {
-    // Fits in 64 bits: the common case for every [num] a config carries. The
-    // digits are written backwards into a local buffer; nothing is copied.
-    uint64_t value = *ToUint64();
+  if (limbs_.empty()) {
+    // The common case for every [num] a config carries. The digits are written
+    // backwards into a local buffer; nothing is copied.
+    uint64_t value = small_;
     char buffer[20];  // 2^64 - 1 has 20 digits.
     char* end = buffer + sizeof(buffer);
     char* out = end;
@@ -178,8 +218,8 @@ std::string BigInt::ToDecimal() const {
 }
 
 std::string BigInt::ToHexString() const {
-  if (IsZero()) {
-    return "0";
+  if (limbs_.empty()) {
+    return ToHex(small_);
   }
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out;
@@ -199,8 +239,18 @@ std::string BigInt::ToHexString() const {
 
 size_t BigInt::Hash() const {
   size_t h = 0x9e3779b97f4a7c15ULL;
+  auto mix = [&h](uint32_t limb) { h ^= limb + 0x9e3779b9 + (h << 6) + (h >> 2); };
+  if (limbs_.empty()) {
+    if (small_ != 0) {
+      mix(static_cast<uint32_t>(small_ & 0xffffffffULL));
+      if (uint32_t hi = static_cast<uint32_t>(small_ >> 32); hi != 0) {
+        mix(hi);
+      }
+    }
+    return h;
+  }
   for (uint32_t limb : limbs_) {
-    h ^= limb + 0x9e3779b9 + (h << 6) + (h >> 2);
+    mix(limb);
   }
   return h;
 }

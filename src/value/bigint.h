@@ -2,9 +2,12 @@
 //
 // The paper's lexer stores [num] and [hex] tokens as Rust BigInt values (Table 1) so
 // that arbitrarily long identifiers in configurations never overflow. This is the C++
-// equivalent: an unsigned magnitude in base 2^32 with the handful of operations contract
-// learning needs — parsing, comparison, difference (sequence contracts), and decimal /
+// equivalent: an unsigned magnitude with the handful of operations contract learning
+// needs — parsing, comparison, difference (sequence contracts), and decimal /
 // hexadecimal rendering (the `hex` and `str` data transformations of §3.5).
+//
+// Nearly every number a configuration carries fits in 64 bits, so such values are held
+// inline and cost no allocation; only values of 2^64 and above use base-2^32 limbs.
 #ifndef SRC_VALUE_BIGINT_H_
 #define SRC_VALUE_BIGINT_H_
 
@@ -19,7 +22,7 @@ namespace concord {
 class BigInt {
  public:
   BigInt() = default;  // Zero.
-  explicit BigInt(uint64_t value);
+  explicit BigInt(uint64_t value) : small_(value) {}
 
   // Parses a decimal string of digits; rejects empty input and non-digits.
   // Leading zeros are accepted and normalized away.
@@ -28,7 +31,7 @@ class BigInt {
   // Parses a hexadecimal string (no 0x prefix).
   static std::optional<BigInt> FromHex(std::string_view s);
 
-  bool IsZero() const { return limbs_.empty(); }
+  bool IsZero() const { return limbs_.empty() && small_ == 0; }
 
   // Returns the value when it fits in 64 bits.
   std::optional<uint64_t> ToUint64() const;
@@ -54,12 +57,22 @@ class BigInt {
   // Lower-case hexadecimal rendering without leading zeros or prefix ("0" for zero).
   std::string ToHexString() const;
 
+  // Mixes the value's little-endian base-2^32 digits, without leading zero
+  // digits, whichever form holds it.
   size_t Hash() const;
 
  private:
-  void Normalize();
+  // The value's base-2^32 digits, little-endian, whichever form holds it.
+  std::vector<uint32_t> Limbs() const;
 
-  // Little-endian limbs; empty means zero.
+  // Builds from little-endian limbs: trailing zero limbs are dropped, and a
+  // value below 2^64 moves inline.
+  static BigInt FromLimbs(std::vector<uint32_t> limbs);
+
+  // The value when `limbs_` is empty. Otherwise unused and zero.
+  uint64_t small_ = 0;
+  // Little-endian limbs of a value of 2^64 or more (at least three, the top one
+  // non-zero); empty for every value below 2^64.
   std::vector<uint32_t> limbs_;
 };
 

@@ -103,13 +103,19 @@ std::optional<Ipv6Address> Ipv6Address::Parse(std::string_view s) {
   std::string_view left = gap == std::string_view::npos ? s : s.substr(0, gap);
   std::string_view right = gap == std::string_view::npos ? std::string_view{} : s.substr(gap + 2);
 
+  // Walks the ':'-separated groups in place: the lexer tries this on every
+  // IPv6-looking span, so it must not allocate.
   auto parse_groups = [](std::string_view part, std::array<uint16_t, 8>* groups,
                          int* count) -> bool {
     *count = 0;
     if (part.empty()) {
       return true;
     }
-    for (std::string_view g : Split(part, ':')) {
+    for (size_t start = 0;;) {
+      const size_t colon = part.find(':', start);
+      std::string_view g = part.substr(start, colon == std::string_view::npos
+                                                  ? std::string_view::npos
+                                                  : colon - start);
       if (g.empty() || g.size() > 4 || *count >= 8) {
         return false;
       }
@@ -118,8 +124,11 @@ std::optional<Ipv6Address> Ipv6Address::Parse(std::string_view s) {
         return false;
       }
       (*groups)[(*count)++] = static_cast<uint16_t>(*value);
+      if (colon == std::string_view::npos) {
+        return true;
+      }
+      start = colon + 1;
     }
-    return true;
   };
 
   std::array<uint16_t, 8> lg{}, rg{};

@@ -73,7 +73,11 @@ TEST_P(FormatFuzz, IndentEmbeddingParentsAreConsistent) {
     std::string text = RandomText(300, true);
     EmbeddedFile embedded = EmbedTextAs(text, FormatCategory::kIndent);
     for (size_t li = 0; li < embedded.lines.size(); ++li) {
-      EXPECT_LE(embedded.lines[li].parents.size(), li);
+      EXPECT_LE(embedded.ParentTexts(embedded.lines[li]).size(), li);
+    }
+    // Each parent's own parent comes before it.
+    for (size_t p = 0; p < embedded.parents.size(); ++p) {
+      EXPECT_LT(embedded.parents[p].parent, static_cast<int>(p));
     }
   }
 }
@@ -125,7 +129,8 @@ TEST_P(FormatFuzz, LexerNeverCrashesAndPreservesTextShape) {
     std::string line = RandomText(120, true);
     // Lexing operates on single trimmed lines.
     std::string trimmed(Trim(ReplaceAll(line, "\n", " ")));
-    LineLex lex = lexer.Lex(trimmed);
+    LineLex lex;
+    lexer.Lex(trimmed, &lex);
     // Named and unnamed patterns only differ inside holes.
     EXPECT_EQ(lex.values.size() == 0, lex.pattern_named == trimmed);
     // Hole count equals captured value count.

@@ -91,6 +91,12 @@ TEST(Ipv6Address, RejectsMalformed) {
   EXPECT_FALSE(Ipv6Address::Parse("12345::").has_value());
   EXPECT_FALSE(Ipv6Address::Parse("g::1").has_value());
   EXPECT_FALSE(Ipv6Address::Parse("1:2:3:4:5:6:7::8").has_value());  // :: compresses nothing.
+  // Empty groups: a second "::", a lone leading or trailing ':'.
+  EXPECT_FALSE(Ipv6Address::Parse("1::2::3").has_value());
+  EXPECT_FALSE(Ipv6Address::Parse(":1:2:3:4:5:6:7").has_value());
+  EXPECT_FALSE(Ipv6Address::Parse("1:2:3:4:5:6:7:").has_value());
+  EXPECT_FALSE(Ipv6Address::Parse("2001:db8::1:").has_value());
+  EXPECT_FALSE(Ipv6Address::Parse(":::").has_value());
 }
 
 TEST(Ipv6Network, ContainsAndNormalizes) {

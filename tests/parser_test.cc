@@ -10,6 +10,8 @@
 #include "src/datagen/generator.h"
 #include "src/learn/learner.h"
 #include "src/util/fault.h"
+#include "src/util/trace.h"
+#include "tests/test_util.h"
 
 namespace concord {
 namespace {
@@ -177,66 +179,12 @@ Dataset SerialParse(const GeneratedCorpus& corpus, ParseOptions options,
   return dataset;
 }
 
-// Empty when the datasets match in every pattern field (in id order) and every
-// parsed line; otherwise the first difference.
-std::string FirstDifference(const Dataset& want, const Dataset& got) {
-  if (want.patterns.size() != got.patterns.size()) {
-    return "pattern count " + std::to_string(want.patterns.size()) + " vs " +
-           std::to_string(got.patterns.size());
-  }
-  for (PatternId id = 0; id < want.patterns.size(); ++id) {
-    const PatternInfo& a = want.patterns.Get(id);
-    const PatternInfo& b = got.patterns.Get(id);
-    if (a.text != b.text || a.untyped != b.untyped || a.unnamed != b.unnamed ||
-        a.param_types != b.param_types || a.is_constant != b.is_constant) {
-      return "pattern " + std::to_string(id) + ": " + a.text + " vs " + b.text;
-    }
-  }
-  if (want.configs.size() != got.configs.size()) {
-    return "config count " + std::to_string(want.configs.size()) + " vs " +
-           std::to_string(got.configs.size());
-  }
-  for (size_t c = 0; c < want.configs.size(); ++c) {
-    const ParsedConfig& a = want.configs[c];
-    const ParsedConfig& b = got.configs[c];
-    if (a.name != b.name || a.format != b.format || a.lines.size() != b.lines.size()) {
-      return "config " + a.name + " vs " + b.name;
-    }
-    for (size_t l = 0; l < a.lines.size(); ++l) {
-      const ParsedLine& x = a.lines[l];
-      const ParsedLine& y = b.lines[l];
-      if (x.pattern != y.pattern || x.const_pattern != y.const_pattern ||
-          x.values != y.values || x.line_number != y.line_number) {
-        return a.name + " line " + std::to_string(l);
-      }
-    }
-  }
-  return "";
-}
-
-// A unit-test-sized corpus of each generator family.
-GeneratedCorpus SmallCorpus(const std::string& family, uint64_t seed) {
-  Knobs knobs;
-  if (family == "edge") {
-    knobs.Set("sites", "3");
-  } else if (family == "wan") {
-    knobs.Set("devices", "12");
-  } else if (family == "orch") {
-    knobs.Set("clusters", "3");
-  } else if (family == "junos") {
-    knobs.Set("sites", "3");
-  } else if (family == "xmlish") {
-    knobs.Set("pods", "3");
-  }
-  return GenerateFamily(GeneratorRegistry::Global(), family, seed, knobs);
-}
-
 // A table as `concord check` starts it: holding the patterns of contracts
 // learned (constants on) from another corpus of the same family.
 PatternTable ContractTable(const std::string& family) {
   ParseOptions parse;
   parse.constants = true;
-  Dataset train = ParseCorpus(SmallCorpus(family, 99), parse);
+  Dataset train = ParseCorpus(SmallFamilyCorpus(family, 99), parse);
   LearnOptions options;
   options.support = 3;
   options.constants = true;
@@ -252,8 +200,8 @@ PatternTable ContractTable(const std::string& family) {
 // Parallelism 7 splits the files into blocks of unequal size, and into more
 // blocks than a 4-core pool has threads.
 TEST(ParseConfigs, EqualsTheSerialLoopAtEveryParallelism) {
-  for (const std::string family : {"edge", "wan", "orch", "junos", "xmlish"}) {
-    GeneratedCorpus corpus = SmallCorpus(family, 7);
+  for (const std::string family : kFamilies) {
+    GeneratedCorpus corpus = SmallFamilyCorpus(family, 7);
     ASSERT_GT(corpus.configs.size(), 7u) << family;
     PatternTable contracts = ContractTable(family);
     for (bool constants : {false, true}) {
@@ -269,13 +217,48 @@ TEST(ParseConfigs, EqualsTheSerialLoopAtEveryParallelism) {
           std::vector<ParseFailure> failures =
               ParseConfigs(TestLexer(), options, Sources(corpus), parallelism, &got);
           EXPECT_TRUE(failures.empty());
-          EXPECT_EQ(FirstDifference(want, got), "")
+          EXPECT_EQ(FirstParseDifference(want, got), "")
               << family << " constants=" << constants
               << " contracts=" << (start != nullptr) << " parallelism=" << parallelism;
         }
       }
     }
   }
+}
+
+// Once the pattern table and the parser's buffers are warm, a line allocates
+// only its values vector, and a file its embedding and its line vector. The
+// second parse of a 40-device wan corpus (perfbench's role and scale) interns
+// nothing new, so it counts just those: about 1.0 per line, 0.9 of it values
+// vectors (13.3 when every line built its own strings and BigInts).
+TEST(ConfigParser, WarmParseAllocatesAtMostOneAndAHalfTimesPerLine) {
+  Knobs knobs;
+  knobs.Set("role", "2");
+  knobs.Set("devices", "40");
+  knobs.Set("scale", "4");
+  GeneratedCorpus corpus = GenerateFamily(GeneratorRegistry::Global(), "wan", 1, knobs);
+  Dataset dataset;
+  ConfigParser parser(&TestLexer(), &dataset.patterns, ParseOptions{});
+  for (const GeneratedConfig& config : corpus.configs) {
+    dataset.configs.push_back(parser.Parse(config.name, config.text));
+  }
+  const size_t patterns = dataset.patterns.size();
+  const size_t lines = dataset.TotalLines();
+  ASSERT_GT(lines, 10000u);
+
+  std::vector<ParsedConfig> again;
+  again.reserve(corpus.configs.size());
+  EnableAllocationCounting(true);
+  const uint64_t before = AllocationCount();
+  for (const GeneratedConfig& config : corpus.configs) {
+    again.push_back(parser.Parse(config.name, config.text));
+  }
+  const uint64_t allocations = AllocationCount() - before;
+  EnableAllocationCounting(false);
+
+  EXPECT_EQ(dataset.patterns.size(), patterns);
+  const double per_line = static_cast<double>(allocations) / static_cast<double>(lines);
+  EXPECT_LE(per_line, 1.5) << allocations << " allocations over " << lines << " lines";
 }
 
 class ParseConfigsFaultTest : public ::testing::Test {
@@ -286,7 +269,7 @@ class ParseConfigsFaultTest : public ::testing::Test {
 // Which file takes the third parse hit depends on the workers' timing, but
 // exactly one is skipped and the rest merge as if it had never been listed.
 TEST_F(ParseConfigsFaultTest, InjectedParseFaultSkipsExactlyOneFile) {
-  GeneratedCorpus corpus = SmallCorpus("edge", 3);
+  GeneratedCorpus corpus = SmallFamilyCorpus("edge", 3);
   ASSERT_TRUE(FaultInjector::Global().Configure("parse:fail_nth=3"));
   Dataset got;
   std::vector<ParseFailure> failures =
@@ -297,7 +280,7 @@ TEST_F(ParseConfigsFaultTest, InjectedParseFaultSkipsExactlyOneFile) {
             "injected fault: parse: " + corpus.configs[failures[0].index].name);
   GeneratedCorpus rest = corpus;
   rest.configs.erase(rest.configs.begin() + static_cast<long>(failures[0].index));
-  EXPECT_EQ(FirstDifference(SerialParse(rest, ParseOptions{}, PatternTable()), got), "");
+  EXPECT_EQ(FirstParseDifference(SerialParse(rest, ParseOptions{}, PatternTable()), got), "");
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "src/util/rng.h"
 #include "src/util/strings.h"
 #include "src/value/bigint.h"
+#include "src/value/value.h"
 
 namespace concord {
 namespace {
@@ -108,6 +110,83 @@ TEST(BigIntDecimal, LimbBoundaries) {
     EXPECT_EQ(value->ToDecimal(), text);
   }
 }
+
+// Values below 2^64 are held inline and larger ones in limbs; these are the
+// points where an operation crosses from one form to the other.
+TEST(BigIntForms, OperationsAcrossTheInlineLimit) {
+  const BigInt max64(~0ULL);
+  const BigInt two_pow_64 = max64.Add(BigInt(1));
+  EXPECT_EQ(two_pow_64.ToDecimal(), "18446744073709551616");
+  EXPECT_FALSE(two_pow_64.ToUint64().has_value());
+  EXPECT_EQ(two_pow_64.AbsDiff(max64), BigInt(1));
+  EXPECT_EQ(max64.AbsDiff(two_pow_64), BigInt(1));
+  EXPECT_EQ(two_pow_64.AbsDiff(max64).ToUint64(), 1u);
+  EXPECT_EQ(two_pow_64.AbsDiff(two_pow_64), BigInt(0));
+  EXPECT_TRUE(two_pow_64.AbsDiff(two_pow_64).IsZero());
+  EXPECT_LT(max64.Compare(two_pow_64), 0);
+  EXPECT_GT(two_pow_64.Compare(max64), 0);
+  EXPECT_EQ(two_pow_64.Compare(*BigInt::FromDecimal("18446744073709551616")), 0);
+  EXPECT_EQ(two_pow_64.ToHexString(), "10000000000000000");
+  EXPECT_EQ(max64.ToHexString(), "ffffffffffffffff");
+  // A limb-form sum that drops back below 2^64 through AbsDiff, and one that
+  // carries into a fourth limb.
+  const BigInt two_pow_96 = *BigInt::FromHex("1000000000000000000000000");
+  EXPECT_EQ(two_pow_96.AbsDiff(two_pow_96.AbsDiff(BigInt(5))), BigInt(5));
+  EXPECT_EQ(two_pow_96.AbsDiff(BigInt(1)).ToHexString(), "ffffffffffffffffffffffff");
+  EXPECT_EQ(two_pow_96.AbsDiff(BigInt(1)).Add(BigInt(1)), two_pow_96);
+}
+
+TEST(BigIntForms, LeadingZerosParseToTheInlineForm) {
+  const std::string zeros25(25, '0');
+  auto decimal = BigInt::FromDecimal(zeros25 + "18446744073709551615");
+  ASSERT_TRUE(decimal.has_value());
+  EXPECT_EQ(decimal->ToUint64(), ~0ULL);
+  EXPECT_EQ(*decimal, BigInt(~0ULL));
+  EXPECT_EQ(decimal->Hash(), BigInt(~0ULL).Hash());
+  auto decimal_zero = BigInt::FromDecimal(zeros25);
+  ASSERT_TRUE(decimal_zero.has_value());
+  EXPECT_TRUE(decimal_zero->IsZero());
+  auto decimal_big = BigInt::FromDecimal(zeros25 + "18446744073709551616");
+  ASSERT_TRUE(decimal_big.has_value());
+  EXPECT_EQ(decimal_big->ToDecimal(), "18446744073709551616");
+
+  const std::string zeros20(20, '0');
+  auto hex = BigInt::FromHex(zeros20 + "ffffffffffffffff");
+  ASSERT_TRUE(hex.has_value());
+  EXPECT_EQ(hex->ToUint64(), ~0ULL);
+  EXPECT_EQ(hex->Hash(), BigInt(~0ULL).Hash());
+  auto hex_big = BigInt::FromHex(zeros20 + "10000000000000000");
+  ASSERT_TRUE(hex_big.has_value());
+  EXPECT_EQ(hex_big->ToHexString(), "10000000000000000");
+  EXPECT_EQ(*hex_big, BigInt(~0ULL).Add(BigInt(1)));
+  auto hex_zero = BigInt::FromHex(zeros20);
+  ASSERT_TRUE(hex_zero.has_value());
+  EXPECT_TRUE(hex_zero->IsZero());
+  EXPECT_EQ(hex_zero->ToHexString(), "0");
+}
+
+// Hash() is what limb-form BigInts hashed to: Value::Hash mixes it, and
+// FlatMap<Value, ...> keys in the checker and miners bucket by it. The table
+// was recorded from the limb-only implementation.
+TEST(BigIntForms, HashMatchesTheLimbOnlyForm) {
+  const BigInt two_pow_64 = BigInt(~0ULL).Add(BigInt(1));
+  const std::pair<BigInt, size_t> table[] = {
+      {BigInt(0), 11400714819323198485ULL},
+      {BigInt(1), 3124149554679865834ULL},
+      {BigInt(0xffffffffULL), 3124149554679865832ULL},
+      {BigInt(0x100000000ULL), 14627443362818141471ULL},
+      {BigInt(~0ULL), 14627443362818141658ULL},
+      {two_pow_64, 4069082416155067928ULL},
+      {*BigInt::FromDecimal("340282366920938463463374607431768211456"),
+       241738844563089674ULL},
+  };
+  for (const auto& [value, hash] : table) {
+    EXPECT_EQ(value.Hash(), hash) << value.ToDecimal();
+  }
+}
+
+// Holding small values inline must not grow Value past its limb-form size.
+TEST(BigIntForms, ValueStaysFortyEightBytes) { EXPECT_EQ(sizeof(Value), 48u); }
 
 }  // namespace
 }  // namespace concord

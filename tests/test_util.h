@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/contracts/contract.h"
+#include "src/datagen/generator.h"
 #include "src/learn/learner.h"
 #include "src/pattern/lexer.h"
 #include "src/pattern/parser.h"
@@ -37,6 +38,26 @@ inline std::vector<Contract> LearnKind(ContractKind kind, const Dataset& dataset
   options.minimize = false;
   return Learner(options).Learn(dataset).set.contracts;
 }
+
+// A unit-test-sized corpus of each generator family: "edge", "wan", "orch",
+// "junos" or "xmlish".
+inline GeneratedCorpus SmallFamilyCorpus(const std::string& family, uint64_t seed) {
+  Knobs knobs;
+  if (family == "edge") {
+    knobs.Set("sites", "3");
+  } else if (family == "wan") {
+    knobs.Set("devices", "12");
+  } else if (family == "orch") {
+    knobs.Set("clusters", "3");
+  } else if (family == "junos") {
+    knobs.Set("sites", "3");
+  } else if (family == "xmlish") {
+    knobs.Set("pods", "3");
+  }
+  return GenerateFamily(GeneratorRegistry::Global(), family, seed, knobs);
+}
+
+inline constexpr const char* kFamilies[] = {"edge", "wan", "orch", "junos", "xmlish"};
 
 }  // namespace concord
 
