@@ -5,8 +5,11 @@
 
 #include "bench/bench_util.h"
 #include "src/check/checker.h"
+#include "src/datagen/corpus.h"
 #include "src/format/embed.h"
+#include "src/learn/artifact_store.h"
 #include "src/learn/learner.h"
+#include "src/learn/relational.h"
 #include "src/pattern/lexer.h"
 #include "src/relations/affix_trie.h"
 #include "src/relations/prefix_trie.h"
@@ -99,6 +102,54 @@ void BM_AffixTrieSuffixSearch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_AffixTrieSuffixSearch);
+
+// The per-config half of relational mining, serially over a small corpus of
+// learn_wan's shape (WAN role 2 at scale 4), with the batch support filter.
+void BM_SummarizeRelational(benchmark::State& state) {
+  WanOptions options;
+  options.role = 2;
+  options.devices = 40;
+  options.scale = 4;
+  Dataset dataset = ParseCorpus(GenerateWan(options));
+  std::vector<ConfigIndex> indexes = BuildIndexes(dataset);
+  std::vector<uint32_t> counts = CountConfigsPerPattern(dataset, indexes);
+  const int support = BenchLearnOptions().support;
+  for (auto _ : state) {
+    for (const ConfigIndex& index : indexes) {
+      RelationalConfigSummary summary;
+      SummarizeRelationalConfig(dataset.patterns, index, &counts, support, Deadline::Never(),
+                                &summary);
+      benchmark::DoNotOptimize(summary);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * dataset.TotalLines()));
+}
+BENCHMARK(BM_SummarizeRelational)->Unit(benchmark::kMillisecond);
+
+// The dataset half over E1's cached summaries: what a one-config delta relearn
+// pays for relational aggregation.
+void BM_AggregateRelational(benchmark::State& state) {
+  GeneratedCorpus corpus = BenchCorpus("E1", 1);
+  Lexer lexer;
+  ArtifactStore store(&lexer, ParseOptions{});
+  for (const GeneratedConfig& config : corpus.configs) {
+    store.Upsert(config.name, config.text);
+  }
+  std::vector<std::string> metadata;
+  for (const GeneratedConfig& meta : corpus.metadata) {
+    metadata.push_back(meta.text);
+  }
+  store.SetMetadata(metadata);
+  const LearnOptions options = BenchLearnOptions();
+  Learner(options).Learn(store);
+  std::vector<const ConfigSummary*> summaries = store.summaries();
+  std::vector<uint32_t> counts = CountConfigsFromSummaries(store.patterns().size(), summaries);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        AggregateRelational(summaries, store.relational_table(), counts, options));
+  }
+}
+BENCHMARK(BM_AggregateRelational)->Unit(benchmark::kMicrosecond);
 
 void BM_LearnW1(benchmark::State& state) {
   GeneratedCorpus corpus = BenchCorpus("W1", 1);

@@ -1,5 +1,6 @@
 #include "src/contracts/contract.h"
 
+#include <charconv>
 #include <sstream>
 
 namespace concord {
@@ -57,31 +58,68 @@ bool IsTransitiveRelation(RelationKind kind) {
   return false;
 }
 
+namespace {
+
+void AppendParam(uint16_t param, std::string* out) {
+  char digits[8];
+  auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), param);
+  (void)ec;  // A uint16_t always fits.
+  out->append(digits, end);
+}
+
+}  // namespace
+
 std::string Contract::Key(const PatternTable& table) const {
-  std::ostringstream out;
-  out << ContractKindName(kind) << '|';
+  // Rendered into one string sized up front: the learner sorts by this key and
+  // serve diffs sets by it, once per contract per update.
+  const bool paired = kind == ContractKind::kOrdering || kind == ContractKind::kRelational;
+  std::string out;
+  out.reserve(64 +
+              (kind == ContractKind::kType ? untyped_pattern.size()
+                                           : table.Get(pattern).text.size()) +
+              (paired ? table.Get(pattern2).text.size() : 0));
+  out += ContractKindName(kind);
+  out += '|';
   switch (kind) {
     case ContractKind::kPresent:
-      out << table.Get(pattern).text;
+      out += table.Get(pattern).text;
       break;
     case ContractKind::kOrdering:
-      out << table.Get(pattern).text << '|' << table.Get(pattern2).text << '|'
-          << (successor ? "succ" : "pred");
+      out += table.Get(pattern).text;
+      out += '|';
+      out += table.Get(pattern2).text;
+      out += successor ? "|succ" : "|pred";
       break;
     case ContractKind::kType:
-      out << untyped_pattern << '|' << param << '|' << ValueTypeName(invalid_type);
+      out += untyped_pattern;
+      out += '|';
+      AppendParam(param, &out);
+      out += '|';
+      out += ValueTypeName(invalid_type);
       break;
     case ContractKind::kSequence:
     case ContractKind::kUnique:
-      out << table.Get(pattern).text << '|' << param;
+      out += table.Get(pattern).text;
+      out += '|';
+      AppendParam(param, &out);
       break;
     case ContractKind::kRelational:
-      out << table.Get(pattern).text << '|' << param << '|' << transform1.Name() << '|'
-          << RelationKindName(relation) << '|' << table.Get(pattern2).text << '|' << param2
-          << '|' << transform2.Name();
+      out += table.Get(pattern).text;
+      out += '|';
+      AppendParam(param, &out);
+      out += '|';
+      out += transform1.Name();
+      out += '|';
+      out += RelationKindName(relation);
+      out += '|';
+      out += table.Get(pattern2).text;
+      out += '|';
+      AppendParam(param2, &out);
+      out += '|';
+      out += transform2.Name();
       break;
   }
-  return out.str();
+  return out;
 }
 
 namespace {

@@ -452,11 +452,14 @@ struct LearnedCorpus {
   std::vector<const ConfigIndex*> index_ptrs;
 };
 
-// Also the parse half of the parallel_identity oracle: ParseConfigs in
-// `parallelism` blocks (more blocks than files in some cases, which it caps)
-// must give the pattern table and parsed lines of the serial ConfigParser
-// loop. A block boundary is where a parser's reused buffers could carry one
-// file's state into the next.
+// Also the parse and learn halves of the parallel_identity oracle. Parse:
+// ParseConfigs in `parallelism` blocks (more blocks than files in some cases,
+// which it caps) must give the pattern table and parsed lines of the serial
+// ConfigParser loop. A block boundary is where a parser's reused buffers could
+// carry one file's state into the next. Learn: a learn at `parallelism`
+// workers must give the serial learn's contract bytes. Each mine worker reuses
+// its scratch across the configs it draws, so a worker's state leaking from
+// one config into the next shows as a difference between the two.
 void LearnCorpus(const GeneratedCorpus& corpus, int parallelism, const OracleOptions& options,
                  const Deadline& deadline, LearnedCorpus* out) {
   ParseOptions parse_options;
@@ -491,6 +494,13 @@ void LearnCorpus(const GeneratedCorpus& corpus, int parallelism, const OracleOpt
   }
   out->set = Learner(learn_options).Learn(dataset).set;
   ThrowIfExpired(deadline);
+  LearnOptions parallel_options = learn_options;
+  parallel_options.parallelism = parallelism;
+  if (SerializeContracts(Learner(parallel_options).Learn(dataset).set, dataset.patterns) !=
+      SerializeContracts(out->set, dataset.patterns)) {
+    throw OracleMismatch{"parallel_identity", "learn at " + std::to_string(parallelism) +
+                                                  " workers differs from the serial learn"};
+  }
 
   out->indexes = BuildIndexes(dataset, &deadline);
   out->index_ptrs.reserve(out->indexes.size());

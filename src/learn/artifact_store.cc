@@ -116,6 +116,7 @@ void ArtifactStore::Refresh(const LearnOptions& options) {
   const bool trace_on = tracer.mode() != 0;
   std::atomic<uint64_t> index_micros{0};
   std::atomic<uint64_t> mine_micros{0};
+  std::vector<uint8_t> mined(stale.size(), 0);  // Written by task wi only.
   auto refresh_one = [&](size_t wi) {
     if (deadline_hit.load(std::memory_order_relaxed)) {
       return;
@@ -140,6 +141,7 @@ void ArtifactStore::Refresh(const LearnOptions& options) {
       entry->summary = std::move(summary);
       entry->summary_valid = true;
       entry->summary_categories = needed;
+      mined[wi] = 1;
       if (trace_on) {
         mine_micros.fetch_add(tracer.NowMicros() - start,
                               std::memory_order_relaxed);
@@ -159,6 +161,7 @@ void ArtifactStore::Refresh(const LearnOptions& options) {
     ThreadPool pool(static_cast<size_t>(std::max(0, options.parallelism)));
     pool.ParallelFor(stale.size(), refresh_one);
   }
+  InternRelational(stale, mined);
   if (trace_on) {
     tracer.AddStageTime("learn", "index",
                         index_micros.load(std::memory_order_relaxed),
@@ -170,6 +173,31 @@ void ArtifactStore::Refresh(const LearnOptions& options) {
   if (deadline_hit.load(std::memory_order_relaxed)) {
     throw DeadlineExceeded();
   }
+}
+
+void ArtifactStore::InternRelational(const std::vector<Entry*>& stale,
+                                     const std::vector<uint8_t>& mined) {
+  // Serial, in name order, after the wave. A refresh that mined every resident
+  // summary interns into a fresh table, which is a rebuild.
+  const bool all_mined = stale.size() == entries_.size() &&
+                         std::all_of(mined.begin(), mined.end(), [](uint8_t m) { return m; });
+  if (!all_mined) {
+    for (size_t wi = 0; wi < stale.size(); ++wi) {
+      if (mined[wi] != 0) {
+        relational_.Intern(&stale[wi]->summary.relational);
+      }
+    }
+    if (relational_.size() <= 2 * relational_rebuilt_size_) {
+      return;
+    }
+  }
+  relational_ = RelationalTable();
+  for (auto& [name, entry] : entries_) {
+    if (entry->summary_valid) {
+      relational_.Intern(&entry->summary.relational);
+    }
+  }
+  relational_rebuilt_size_ = relational_.size();
 }
 
 std::vector<std::string> ArtifactStore::names() const {

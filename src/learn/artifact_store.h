@@ -20,6 +20,13 @@
 // incremental relearn bit-identical to a from-scratch one (both run the same
 // aggregation code over the same summaries, merged in name order).
 //
+// The store keeps one RelationalTable (src/learn/relational.h) across relearns,
+// as it keeps its pattern table: Refresh interns each summary it recomputes, and
+// aggregation reads the ids. Ids of replaced or removed summaries stay behind
+// unnamed, so when the table holds more than twice the ids it held after its
+// last rebuild, Refresh re-interns every resident summary into a fresh table:
+// one batch-style merge each time the table doubles keeps it bounded.
+//
 // The store is not internally synchronized: callers serialize mutations (the
 // service guards each resident dataset with a mutex). Refresh() may use a thread
 // pool internally, but reads the table and entries only.
@@ -34,6 +41,7 @@
 
 #include "src/learn/index.h"
 #include "src/learn/options.h"
+#include "src/learn/relational.h"
 #include "src/learn/summaries.h"
 #include "src/pattern/parser.h"
 
@@ -104,6 +112,9 @@ class ArtifactStore {
   // Metadata type-use counts (the metadata half of the Mine stage).
   const TypeCountsMap& metadata_types() const { return metadata_types_; }
 
+  // The table every resident summary's relational half is interned into.
+  const RelationalTable& relational_table() const { return relational_; }
+
   std::vector<std::string> names() const;
   std::vector<const ParsedConfig*> configs() const;
   std::vector<const ConfigIndex*> indexes() const;
@@ -128,6 +139,10 @@ class ArtifactStore {
     uint8_t summary_categories = 0;
   };
 
+  // Interns the summaries of `stale` that this refresh mined (`mined[i]`), or
+  // rebuilds the table when it outgrew its bound.
+  void InternRelational(const std::vector<Entry*>& stale, const std::vector<uint8_t>& mined);
+
   const Lexer* lexer_;
   ParseOptions parse_options_;
   PatternTable table_;
@@ -136,6 +151,8 @@ class ArtifactStore {
   std::vector<std::string> metadata_texts_;
   uint64_t metadata_key_;
   TypeCountsMap metadata_types_;
+  RelationalTable relational_;
+  size_t relational_rebuilt_size_ = 0;  // relational_.size() after its last rebuild.
   // Name-keyed and name-iterated: configs enter aggregation in name order
   // regardless of insertion/update history, keeping learns deterministic.
   std::map<std::string, std::unique_ptr<Entry>> entries_;

@@ -16,8 +16,10 @@ namespace concord {
 namespace {
 
 // The dataset half of learning, shared by both drivers: aggregate the per-config
-// summaries (in the caller-supplied order) and apply the thresholds.
+// summaries (in the caller-supplied order; their relational halves interned into
+// `relational`) and apply the thresholds.
 std::vector<Contract> AggregateAll(const std::vector<const ConfigSummary*>& summaries,
+                                   const RelationalTable& relational,
                                    const std::vector<uint32_t>& config_counts,
                                    const TypeCountsMap* metadata_types,
                                    const LearnOptions& options) {
@@ -43,7 +45,7 @@ std::vector<Contract> AggregateAll(const std::vector<const ConfigSummary*>& summ
     append(AggregateUnique(summaries, config_counts, options));
   }
   if (options.learn_relational) {
-    append(AggregateRelational(summaries, config_counts, options));
+    append(AggregateRelational(summaries, relational, config_counts, options));
   }
   return all;
 }
@@ -149,7 +151,17 @@ LearnResult Learner::Learn(const Dataset& dataset) const {
     TraceSpan span("learn", "aggregate");
     std::vector<const ConfigSummary*> views;
     views.reserve(summaries.size());
+    // Interning runs serially, in config order, after the mine wave.
+    RelationalTable relational;
+    size_t max_keys = 0;
+    size_t max_texts = 0;
     for (const ConfigSummary& summary : summaries) {
+      max_keys = std::max(max_keys, summary.relational.candidates.size());
+      max_texts = std::max(max_texts, summary.relational.num_witness_texts());
+    }
+    relational.Reserve(max_keys, max_texts);
+    for (ConfigSummary& summary : summaries) {
+      relational.Intern(&summary.relational);
       views.push_back(&summary);
     }
     TypeCountsMap metadata_types;
@@ -157,7 +169,7 @@ LearnResult Learner::Learn(const Dataset& dataset) const {
       metadata_types = SummarizeMetadataTypes(dataset.patterns, dataset.metadata);
     }
     ThrowIfExpired(options_.deadline);
-    all = AggregateAll(views, config_counts, &metadata_types, options_);
+    all = AggregateAll(views, relational, config_counts, &metadata_types, options_);
   }
   return Finalize(std::move(all), dataset.patterns, options_);
 }
@@ -173,7 +185,8 @@ LearnResult Learner::Learn(ArtifactStore& store) const {
     std::vector<uint32_t> config_counts =
         CountConfigsFromSummaries(store.patterns().size(), views);
     ThrowIfExpired(options_.deadline);
-    all = AggregateAll(views, config_counts, &store.metadata_types(), options_);
+    all = AggregateAll(views, store.relational_table(), config_counts,
+                       &store.metadata_types(), options_);
   }
   return Finalize(std::move(all), store.patterns(), options_);
 }

@@ -33,26 +33,272 @@ Transform RelationalNodeTransform(uint64_t node) {
 namespace {
 
 constexpr size_t kMaxBucketNodes = 32;   // Values shared by more nodes are noise.
-constexpr size_t kMaxDiversityKeys = 256;
+constexpr uint32_t kMaxDiversityKeys = 256;
 constexpr uint32_t kNone = static_cast<uint32_t>(-1);
 
-// One (line, param, transform) key of the config, computed once in pass 1.
+// The relations a node's walk marks. The walking node is the forall side of the
+// first four and the exists side of the last two.
+enum WalkRelation : uint32_t {
+  kWalkEquals,
+  kWalkContains,
+  kWalkStartsWith,
+  kWalkEndsWith,
+  kWalkPrefixOf,
+  kWalkSuffixOf,
+  kWalkRelations,
+};
+
+constexpr RelationKind kWalkKinds[kWalkRelations] = {
+    RelationKind::kEquals,   RelationKind::kContains, RelationKind::kStartsWith,
+    RelationKind::kEndsWith, RelationKind::kPrefixOf, RelationKind::kSuffixOf};
+
+// One informative key of the config, from pass 1: `node` (a dense id) carries
+// `text` on `line`.
 struct KeyRecord {
-  uint64_t node = 0;  // Packed (pattern, param, transform).
-  uint32_t text = 0;  // Interned key text id.
+  uint32_t node = 0;
+  uint32_t text = 0;
+  uint32_t line = 0;
 };
 
-// Pass-2 state of one candidate within the config.
-struct MarkState {
-  RelationalKey key;
-  uint32_t last_line = kNone;     // Forall-side marks: the last line counted.
-  uint32_t lines = 0;             // Distinct forall-side lines marked.
-  uint32_t last_witness = kNone;  // Skips a witness repeated back to back.
-  uint32_t witnesses = 0;         // Distinct witnesses kept.
+// An identity node that carries an affix text, and on how many lines.
+struct TextNode {
+  uint32_t node = 0;
+  uint32_t lines = 0;
 };
 
-bool MarksHitLine(RelationKind relation) {
-  return relation == RelationKind::kPrefixOf || relation == RelationKind::kSuffixOf;
+// The walking node's evidence for one candidate.
+struct Slot {
+  uint32_t walk = 0;       // The walk that owns the slot; any other stamp is stale.
+  uint32_t candidate = 0;  // Index into the summary's candidates.
+  uint32_t lines = 0;      // Forall-side lines counted.
+  uint32_t witnesses = 0;  // Witnesses kept.
+  uint32_t line = kNone;   // The last walking-node line counted.
+};
+
+// Per-thread working arrays of SummarizeRelationalConfig. Every config clears
+// or reassigns what it reads, so capacity carries over from config to config
+// and a worker stops allocating once it has seen its largest config.
+struct Scratch {
+  KeyInterner texts;
+  std::vector<double> text_score;
+  std::vector<uint8_t> text_affix;       // Text is an identity text of 2+ chars.
+  FlatMap<uint64_t, uint32_t> node_ids;  // Packed node -> dense id.
+  std::vector<uint64_t> nodes;           // Dense id -> packed node.
+  std::vector<KeyRecord> records;        // Line order.
+  std::vector<uint32_t> value_begin;     // Line -> first value index.
+  std::vector<uint32_t> value_text;      // Value -> identity text.
+  std::vector<uint32_t> value_node;      // Value -> identity node; kNone if none.
+  PrefixTrie pfx;
+  AffixTrie fwd_trie{/*reversed=*/false};
+  AffixTrie rev_trie{/*reversed=*/true};
+
+  // Derived from the records after pass 1.
+  std::vector<uint32_t> cursor;      // Counting-sort fill positions.
+  std::vector<uint32_t> node_begin;  // Node n's keys: keys[node_begin[n], [n + 1]).
+  std::vector<KeyRecord> keys;       // Grouped by node, line order within.
+  std::vector<uint32_t> node_total;  // Lines of the node's pattern.
+  std::vector<uint8_t> node_ok;      // The node's pattern meets the support filter.
+  std::vector<uint32_t> bucket_begin;
+  std::vector<uint32_t> bucket_size;
+  std::vector<uint32_t> bucket_nodes;
+  std::vector<uint32_t> text_node_begin;  // Text t's nodes: [begin[t], end[t]).
+  std::vector<uint32_t> text_node_end;
+  std::vector<TextNode> text_nodes;
+  std::vector<uint32_t> prefix_begin;  // Text t's proper prefixes: prefixes[begin[t], [t + 1]).
+  std::vector<uint32_t> prefixes;
+  std::vector<uint32_t> suffix_begin;  // Text t's proper suffixes, likewise.
+  std::vector<uint32_t> suffixes;
+
+  // Pass 2.
+  std::vector<Slot> slots;  // kWalkRelations x nodes.
+  std::vector<uint32_t> touched;
+  std::vector<uint32_t> own_seen;  // Text -> the last walk that met it as a key.
+  std::vector<uint32_t> prefix_seen;  // ... as a proper prefix.
+  std::vector<uint32_t> suffix_seen;  // ... as a proper suffix.
+  std::vector<uint32_t> pooled;    // Text -> summary witness id.
+  std::vector<PrefixTrie::Hit> pfx_hits;
+  std::vector<AffixTrie::Hit> affix_hits;
+  RelationalConfigSummary out;
+};
+
+// Counting sort: begin[k] .. begin[k + 1] will be key k's range of `count`
+// items, given each item's key (kNone leaves an item out).
+template <typename KeyOf>
+void BucketBegins(size_t keys, size_t count, KeyOf key_of, std::vector<uint32_t>* begin) {
+  begin->assign(keys + 1, 0);
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t key = key_of(i);
+    if (key != kNone) {
+      ++(*begin)[key + 1];
+    }
+  }
+  for (size_t k = 0; k < keys; ++k) {
+    (*begin)[k + 1] += (*begin)[k];
+  }
+}
+
+// Pass 1: render every key once, give informative nodes dense ids, and build
+// the tries. Returns false when `deadline` expired.
+bool CollectKeys(const ConfigIndex& index, const Deadline& deadline, Scratch* s) {
+  const uint32_t num_lines = static_cast<uint32_t>(index.lines.size());
+  s->texts.Clear();
+  s->text_score.clear();
+  s->text_affix.clear();
+  s->node_ids.clear();
+  s->nodes.clear();
+  s->records.clear();
+  s->value_begin.resize(num_lines + 1);
+  s->value_text.clear();
+  s->value_node.clear();
+  s->pfx.Clear();
+  s->fwd_trie.Clear();
+  s->rev_trie.Clear();
+  for (uint32_t li = 0; li < num_lines; ++li) {
+    if ((li & 511u) == 511u && deadline.expired()) {
+      return false;
+    }
+    const ParsedLine& line = *index.lines[li];
+    s->value_begin[li] = static_cast<uint32_t>(s->value_text.size());
+    for (uint16_t param = 0; param < line.values.size(); ++param) {
+      const Value& value = line.values[param];
+      const size_t v = s->value_text.size();
+      s->value_text.push_back(kNone);
+      s->value_node.push_back(kNone);
+      for (const Transform& t : TransformsFor(value.type())) {
+        auto key = t.Apply(value);
+        if (!key) {
+          continue;
+        }
+        const uint32_t text = s->texts.Intern(*key);
+        if (text == s->text_score.size()) {
+          s->text_score.push_back(KeyScore(*key));
+          s->text_affix.push_back(0);
+        }
+        const bool identity = t == IdTransform();
+        if (identity) {
+          s->value_text[v] = text;
+        }
+        // Zero-informativeness keys never witness anything (§3.5).
+        if (s->text_score[text] <= 0.0) {
+          continue;
+        }
+        auto [id, inserted] = s->node_ids.TryEmplace(
+            PackRelationalNode(line.pattern, param, t), static_cast<uint32_t>(s->nodes.size()));
+        if (inserted) {
+          s->nodes.push_back(PackRelationalNode(line.pattern, param, t));
+        }
+        s->records.push_back(KeyRecord{*id, text, li});
+        if (!identity) {
+          continue;
+        }
+        s->value_node[v] = *id;
+        // Each distinct affix text enters the tries once; a hit names the text
+        // through the occurrence it was inserted with.
+        if (key->size() >= 2 && s->text_affix[text] == 0) {
+          s->text_affix[text] = 1;
+          ParamRef ref{line.pattern, param, t, li};
+          s->fwd_trie.Insert(*key, ref);
+          s->rev_trie.Insert(*key, ref);
+        }
+      }
+      if (value.type() == ValueType::kPfx4 && value.AsPfx4().prefix_len() > 0) {
+        s->pfx.Insert(value.AsPfx4(), ParamRef{line.pattern, param, IdTransform(), li});
+      } else if (value.type() == ValueType::kPfx6 && value.AsPfx6().prefix_len() > 0) {
+        s->pfx.Insert(value.AsPfx6(), ParamRef{line.pattern, param, IdTransform(), li});
+      }
+    }
+  }
+  s->value_begin[num_lines] = static_cast<uint32_t>(s->value_text.size());
+  return true;
+}
+
+// The per-node, per-text and per-affix tables pass 2 reads, from pass 1's records.
+void BuildTables(const ConfigIndex& index, const std::vector<uint32_t>* support_filter,
+                 int support, Scratch* s) {
+  const size_t num_nodes = s->nodes.size();
+  const size_t num_texts = s->texts.size();
+  const std::vector<KeyRecord>& records = s->records;
+
+  // Each node's keys, in line order.
+  BucketBegins(num_nodes, records.size(), [&](size_t r) { return records[r].node; },
+               &s->node_begin);
+  s->keys.resize(records.size());
+  s->cursor.assign(s->node_begin.begin(), s->node_begin.end() - 1);
+  for (const KeyRecord& rec : records) {
+    s->keys[s->cursor[rec.node]++] = rec;
+  }
+  s->node_total.resize(num_nodes);
+  s->node_ok.resize(num_nodes);
+  for (size_t n = 0; n < num_nodes; ++n) {
+    const PatternId pattern = RelationalNodePattern(s->nodes[n]);
+    auto it = index.by_pattern.find(pattern);
+    s->node_total[n] = it == index.by_pattern.end() ? 0 : static_cast<uint32_t>(it->second.size());
+    s->node_ok[n] = support_filter == nullptr ||
+                    static_cast<int>((*support_filter)[pattern]) >= support;
+  }
+
+  // Equality buckets: the distinct nodes whose key is each text, in record
+  // order. A bucket that reaches kMaxBucketNodes + 1 nodes is noise and skipped.
+  BucketBegins(num_texts, records.size(), [&](size_t r) { return records[r].text; },
+               &s->bucket_begin);
+  s->bucket_nodes.resize(records.size());
+  s->bucket_size.assign(num_texts, 0);
+  for (const KeyRecord& rec : records) {
+    uint32_t* nodes = &s->bucket_nodes[s->bucket_begin[rec.text]];
+    uint32_t& size = s->bucket_size[rec.text];
+    if (size <= kMaxBucketNodes && std::find(nodes, nodes + size, rec.node) == nodes + size) {
+      nodes[size++] = rec.node;
+    }
+  }
+
+  // Each affix text's identity nodes and their line counts. Walking the keys
+  // node by node puts a text's entry for the current node last in its list.
+  auto is_affix_key = [&](const KeyRecord& rec) {
+    return s->text_affix[rec.text] != 0 &&
+           RelationalNodeTransform(s->nodes[rec.node]) == IdTransform();
+  };
+  BucketBegins(num_texts, records.size(),
+               [&](size_t r) { return is_affix_key(records[r]) ? records[r].text : kNone; },
+               &s->text_node_begin);
+  s->text_node_end.assign(s->text_node_begin.begin(), s->text_node_begin.end() - 1);
+  s->text_nodes.resize(s->text_node_begin.back());
+  for (const KeyRecord& rec : s->keys) {
+    if (!is_affix_key(rec)) {
+      continue;
+    }
+    uint32_t& end = s->text_node_end[rec.text];
+    if (end > s->text_node_begin[rec.text] && s->text_nodes[end - 1].node == rec.node) {
+      ++s->text_nodes[end - 1].lines;
+    } else {
+      s->text_nodes[end++] = TextNode{rec.node, 1};
+    }
+  }
+
+  // Each affix text's proper affixes among the affix texts, shortest first.
+  auto affixes_of = [&](const AffixTrie& trie, std::vector<uint32_t>* begin,
+                        std::vector<uint32_t>* out) {
+    begin->resize(num_texts + 1);
+    out->clear();
+    for (uint32_t t = 0; t < num_texts; ++t) {
+      (*begin)[t] = static_cast<uint32_t>(out->size());
+      if (s->text_affix[t] == 0) {
+        continue;
+      }
+      s->affix_hits.clear();
+      trie.FindAffixesOf(s->texts.Text(t), &s->affix_hits);
+      for (const AffixTrie::Hit& hit : s->affix_hits) {
+        out->push_back(s->value_text[s->value_begin[hit.ref.line] + hit.ref.param]);
+      }
+    }
+    (*begin)[num_texts] = static_cast<uint32_t>(out->size());
+  };
+  affixes_of(s->fwd_trie, &s->prefix_begin, &s->prefixes);
+  affixes_of(s->rev_trie, &s->suffix_begin, &s->suffixes);
+}
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -64,287 +310,236 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
   if (deadline.expired()) {
     return false;
   }
-  const uint32_t num_lines = static_cast<uint32_t>(index.lines.size());
+  Scratch& s = ThreadScratch();
+  if (!CollectKeys(index, deadline, &s)) {
+    return false;
+  }
+  BuildTables(index, support_filter, support, &s);
 
-  // ---- Pass 1: render every key once and build the relation-finding structures.
-  // Records of value v (the param-th value of line li is v = value_begin[li] +
-  // param) are records[record_begin[v], record_begin[v + 1]), identity first.
-  // Equal key texts share one interned id, which is the equality bucket and the
-  // witness identity alike.
-  std::vector<KeyRecord> records;
-  std::vector<uint32_t> record_begin;
-  std::vector<uint32_t> value_begin(num_lines + 1, 0);
-  KeyInterner texts;
-  PrefixTrie pfx;
-  AffixTrie fwd(/*reversed=*/false);
-  AffixTrie rev(/*reversed=*/true);
-  for (uint32_t li = 0; li < num_lines; ++li) {
-    if ((li & 511u) == 511u && deadline.expired()) {
+  // ---- Pass 2: walk each node over its keys, marking candidates in its slots. ----
+  const uint32_t num_nodes = static_cast<uint32_t>(s.nodes.size());
+  const size_t num_texts = s.texts.size();
+  s.slots.assign(kWalkRelations * static_cast<size_t>(num_nodes), Slot{});
+  s.own_seen.assign(num_texts, 0);
+  s.prefix_seen.assign(num_texts, 0);
+  s.suffix_seen.assign(num_texts, 0);
+  s.pooled.assign(num_texts, kNone);
+  RelationalConfigSummary& sum = s.out;
+  sum.candidates.clear();
+  sum.witnesses.clear();
+  sum.witness_text.clear();
+  sum.witness_offsets.assign(1, 0);
+
+  for (uint32_t a = 0; a < num_nodes; ++a) {
+    if ((a & 255u) == 255u && deadline.expired()) {
       return false;
     }
-    const ParsedLine& line = *index.lines[li];
-    value_begin[li] = static_cast<uint32_t>(record_begin.size());
-    for (uint16_t param = 0; param < line.values.size(); ++param) {
-      record_begin.push_back(static_cast<uint32_t>(records.size()));
-      const Value& value = line.values[param];
-      for (const Transform& t : TransformsFor(value.type())) {
-        auto key = t.Apply(value);
-        if (!key) {
-          continue;
-        }
-        records.push_back(KeyRecord{PackRelationalNode(line.pattern, param, t),
-                                    texts.Intern(*key)});
-        // Zero-informativeness keys never witness anything (§3.5).
-        if (t == IdTransform() && key->size() >= 2 && KeyScore(*key) > 0.0) {
-          ParamRef ref{line.pattern, param, t, li};
-          fwd.Insert(*key, ref);
-          rev.Insert(*key, ref);
-        }
+    const uint32_t walk = a + 1;
+    const uint64_t self = s.nodes[a];
+    const bool self_ok = s.node_ok[a] != 0;
+    const bool identity = RelationalNodeTransform(self) == IdTransform();
+    const uint16_t param = RelationalNodeParam(self);
+    s.touched.clear();
+
+    auto slot_of = [&](uint32_t relation, uint32_t b) -> Slot& {
+      const size_t at = relation * static_cast<size_t>(num_nodes) + b;
+      Slot& slot = s.slots[at];
+      if (slot.walk != walk) {
+        slot = Slot{walk, static_cast<uint32_t>(sum.candidates.size()), 0, 0, kNone};
+        const RelationalKey key = relation < kWalkPrefixOf
+                                      ? RelationalKey{self, s.nodes[b], kWalkKinds[relation]}
+                                      : RelationalKey{s.nodes[b], self, kWalkKinds[relation]};
+        sum.candidates.push_back(RelationalCandidate{key, false});
+        s.touched.push_back(static_cast<uint32_t>(at));
       }
-      if (value.type() == ValueType::kPfx4 && value.AsPfx4().prefix_len() > 0) {
-        pfx.Insert(value.AsPfx4(), ParamRef{line.pattern, param, IdTransform(), li});
-      } else if (value.type() == ValueType::kPfx6 && value.AsPfx6().prefix_len() > 0) {
-        pfx.Insert(value.AsPfx6(), ParamRef{line.pattern, param, IdTransform(), li});
-      }
-    }
-  }
-  value_begin[num_lines] = static_cast<uint32_t>(record_begin.size());
-  record_begin.push_back(static_cast<uint32_t>(records.size()));
-
-  const uint32_t num_texts = texts.size();
-  std::vector<double> text_score(num_texts);
-  for (uint32_t id = 0; id < num_texts; ++id) {
-    text_score[id] = KeyScore(texts.Text(id));
-  }
-  auto value_of = [&](uint32_t line, uint16_t param) { return value_begin[line] + param; };
-  // The identity record of value v: its key is the value's canonical text.
-  auto id_text = [&](uint32_t v) { return records[record_begin[v]].text; };
-
-  // Equality buckets: the distinct nodes whose key is each text, in record order.
-  // Zero-informativeness keys join no bucket. A bucket that reaches
-  // kMaxBucketNodes + 1 nodes is noise and skipped.
-  std::vector<uint32_t> bucket_begin(num_texts + 1, 0);
-  for (const KeyRecord& rec : records) {
-    if (text_score[rec.text] > 0.0) {
-      ++bucket_begin[rec.text + 1];
-    }
-  }
-  for (size_t b = 0; b < num_texts; ++b) {
-    bucket_begin[b + 1] += bucket_begin[b];
-  }
-  std::vector<uint64_t> bucket_nodes(bucket_begin.back());
-  std::vector<uint32_t> bucket_size(num_texts, 0);
-  for (const KeyRecord& rec : records) {
-    if (text_score[rec.text] <= 0.0) {
-      continue;
-    }
-    uint64_t* nodes = &bucket_nodes[bucket_begin[rec.text]];
-    uint32_t& size = bucket_size[rec.text];
-    if (size <= kMaxBucketNodes && std::find(nodes, nodes + size, rec.node) == nodes + size) {
-      nodes[size++] = rec.node;
-    }
-  }
-
-  // ---- Pass 2: look values up, marking candidate contracts per forall line. ----
-  // Forall-side lines arrive in line order for every relation but kPrefixOf and
-  // kSuffixOf, which mark the *hit* line from many queries; only those need
-  // (candidate, line) records, sorted and de-duplicated at fold time. Each
-  // candidate keeps its first kMaxDiversityKeys distinct witnesses in mark order,
-  // each with the score it was first offered with.
-  FlatMap<RelationalKey, uint32_t, RelationalKeyHash> candidate_ids;
-  std::vector<MarkState> candidates;
-  std::vector<uint64_t> hit_lines;
-  FlatMap<uint64_t, bool> kept;                       // (candidate, text) pairs kept.
-  std::vector<uint32_t> pooled(num_texts, kNone);  // Text id -> summary witness id.
-  out->witness_offsets.push_back(0);
-  std::vector<PrefixTrie::Hit> pfx_hits;
-  std::vector<AffixTrie::Hit> affix_hits;
-
-  auto keep_witness = [&](uint32_t id, uint32_t text, double score) {
-    if (!kept.TryEmplace((static_cast<uint64_t>(id) << 32) | text).second) {
-      return;
-    }
-    if (pooled[text] == kNone) {
-      pooled[text] = static_cast<uint32_t>(out->num_witness_texts());
-      out->witness_text += texts.Text(text);
-      out->witness_offsets.push_back(static_cast<uint32_t>(out->witness_text.size()));
-    }
-    out->witnesses.push_back(RelationalWitness{id, pooled[text], static_cast<float>(score)});
-    ++candidates[id].witnesses;
-  };
-
-  auto mark = [&](const RelationalKey& key, uint32_t line, uint32_t witness, double score) {
-    auto [slot, inserted] =
-        candidate_ids.TryEmplace(key, static_cast<uint32_t>(candidates.size()));
-    const uint32_t id = *slot;
-    if (inserted) {
-      candidates.push_back(MarkState{key});
-    }
-    MarkState& state = candidates[id];
-    if (MarksHitLine(key.relation)) {
-      hit_lines.push_back((static_cast<uint64_t>(id) << 32) | line);
-    } else if (state.last_line != line) {
-      state.last_line = line;
-      ++state.lines;
-    }
-    if (state.last_witness != witness && state.witnesses < kMaxDiversityKeys) {
-      state.last_witness = witness;
-      keep_witness(id, witness, score);
-    }
-  };
-
-  for (uint32_t li = 0; li < num_lines; ++li) {
-    // Pass 2 dominates mining cost; poll the deadline every 512 lines so a
-    // single huge config cannot blow past the budget.
-    if ((li & 511u) == 511u && deadline.expired()) {
-      return false;
-    }
-    const ParsedLine& line = *index.lines[li];
-    // Support pre-filter (batch path only): a pattern below support can never be a
-    // forall side, but its lines must still be *queried* because the flipped affix
-    // directions mark the hit line, whose pattern may well meet support.
-    const bool self_ok =
-        support_filter == nullptr ||
-        static_cast<int>((*support_filter)[line.pattern]) >= support;
-    auto hit_ok = [&](uint64_t node) {
-      return support_filter == nullptr ||
-             static_cast<int>((*support_filter)[RelationalNodePattern(node)]) >= support;
+      return slot;
     };
-    for (uint16_t param = 0; param < line.values.size(); ++param) {
-      const Value& value = line.values[param];
-      const uint32_t v = value_of(li, param);
-
-      // Equality candidates, all transforms.
-      if (self_ok) {
-        for (uint32_t r = record_begin[v]; r < record_begin[v + 1]; ++r) {
-          const KeyRecord& rec = records[r];
-          double score = text_score[rec.text];
-          if (score <= 0.0 || bucket_size[rec.text] > kMaxBucketNodes) {
-            continue;
-          }
-          const uint64_t* nodes = &bucket_nodes[bucket_begin[rec.text]];
-          for (uint32_t k = 0; k < bucket_size[rec.text]; ++k) {
-            if (nodes[k] != rec.node) {
-              mark(RelationalKey{rec.node, nodes[k], RelationKind::kEquals}, li, rec.text,
-                   score);
-            }
-          }
-        }
+    auto offer = [&](Slot& slot, uint32_t text, double score) {
+      if (slot.witnesses == kMaxDiversityKeys) {
+        return;
       }
-
-      // Containment candidates (identity transform only).
-      bool is_pfx4 = value.type() == ValueType::kPfx4;
-      bool is_pfx6 = value.type() == ValueType::kPfx6;
-      if (self_ok &&
-          (value.type() == ValueType::kIp4 || value.type() == ValueType::kIp6 || is_pfx4 ||
-           is_pfx6)) {
-        pfx_hits.clear();
-        bool v6 = false;
-        if (value.type() == ValueType::kIp4) {
-          pfx.FindContaining(value.AsIp4(), &pfx_hits);
-        } else if (is_pfx4) {
-          pfx.FindContaining(value.AsPfx4(), &pfx_hits);
-        } else if (value.type() == ValueType::kIp6) {
-          pfx.FindContaining(value.AsIp6(), &pfx_hits);
-          v6 = true;
-        } else {
-          pfx.FindContaining(value.AsPfx6(), &pfx_hits);
-          v6 = true;
-        }
-        uint64_t self = PackRelationalNode(line.pattern, param, IdTransform());
-        for (const PrefixTrie::Hit& hit : pfx_hits) {
-          uint64_t node = PackRelationalNode(hit.ref.pattern, hit.ref.param, hit.ref.transform);
-          if (node == self) {
-            continue;
-          }
-          mark(RelationalKey{self, node, RelationKind::kContains}, li, id_text(v),
-               PrefixScore(hit.prefix_len, v6));
-        }
+      ++slot.witnesses;
+      uint32_t& pooled = s.pooled[text];
+      if (pooled == kNone) {
+        pooled = static_cast<uint32_t>(sum.num_witness_texts());
+        sum.witness_text += s.texts.Text(text);
+        sum.witness_offsets.push_back(static_cast<uint32_t>(sum.witness_text.size()));
       }
-
-      // Affix candidates (identity transform only). A hit h is a proper affix of
-      // this value's key k; that yields candidates in both quantification orders.
-      // The shared affix is the hit's own key, so it is the witness.
-      std::string_view key = texts.Text(id_text(v));
-      if (key.size() < 2) {
-        continue;
-      }
-      uint64_t self = PackRelationalNode(line.pattern, param, IdTransform());
-      for (const AffixTrie* trie : {&fwd, &rev}) {
-        const bool forward = trie == &fwd;
-        affix_hits.clear();
-        trie->FindAffixesOf(key, &affix_hits);
-        for (const AffixTrie::Hit& hit : affix_hits) {
-          uint32_t shared = id_text(value_of(hit.ref.line, hit.ref.param));
-          double score = text_score[shared];
-          uint64_t node = PackRelationalNode(hit.ref.pattern, hit.ref.param, hit.ref.transform);
-          if (score <= 0.0 || node == self) {
+      sum.witnesses.push_back(RelationalWitness{slot.candidate, pooled, static_cast<float>(score)});
+    };
+    // Affix candidates of one key in one direction. A shorter text h is the
+    // shared witness; this node's line starts (ends) with it, and every line
+    // carrying h is a prefix (suffix) of this node's value.
+    auto affixes = [&](uint32_t line, const std::vector<uint32_t>& begin,
+                       const std::vector<uint32_t>& found, std::vector<uint32_t>* seen,
+                       uint32_t with_relation, uint32_t of_relation, uint32_t text) {
+      for (uint32_t i = begin[text]; i < begin[text + 1]; ++i) {
+        const uint32_t h = found[i];
+        const bool first = (*seen)[h] != walk;
+        (*seen)[h] = walk;
+        const double score = s.text_score[h];
+        for (uint32_t j = s.text_node_begin[h]; j < s.text_node_end[h]; ++j) {
+          const TextNode& other = s.text_nodes[j];
+          if (other.node == a) {
             continue;
           }
           if (self_ok) {
-            // forall this-line: it starts (ends) with the existing shorter value.
-            mark(RelationalKey{self, node,
-                               forward ? RelationKind::kStartsWith : RelationKind::kEndsWith},
-                 li, shared, score);
+            Slot& with = slot_of(with_relation, other.node);
+            if (with.line != line) {
+              with.line = line;
+              ++with.lines;
+            }
+            if (first) {
+              offer(with, h, score);
+            }
           }
-          if (hit_ok(node)) {
-            // forall the shorter value's line: it is a prefix (suffix) of this value.
-            mark(RelationalKey{node, self,
-                               forward ? RelationKind::kPrefixOf : RelationKind::kSuffixOf},
-                 hit.ref.line, shared, score);
+          if (first && s.node_ok[other.node] != 0) {
+            Slot& of = slot_of(of_relation, other.node);
+            of.lines += other.lines;
+            offer(of, h, score);
           }
         }
       }
+    };
+
+    for (uint32_t k = s.node_begin[a]; k < s.node_begin[a + 1]; ++k) {
+      const uint32_t line = s.keys[k].line;
+      const uint32_t text = s.keys[k].text;
+      const bool first = s.own_seen[text] != walk;
+      s.own_seen[text] = walk;
+
+      // Equality candidates, all transforms.
+      if (self_ok && s.bucket_size[text] <= kMaxBucketNodes) {
+        const double score = s.text_score[text];
+        const uint32_t* others = &s.bucket_nodes[s.bucket_begin[text]];
+        for (uint32_t i = 0; i < s.bucket_size[text]; ++i) {
+          if (others[i] == a) {
+            continue;
+          }
+          Slot& eq = slot_of(kWalkEquals, others[i]);
+          ++eq.lines;
+          if (first) {
+            offer(eq, text, score);
+          }
+        }
+      }
+      if (!identity) {
+        continue;
+      }
+
+      // Containment candidates. A value's hits depend on the value alone, so a
+      // repeated text offers nothing new; within one query, the first hit of a
+      // node in trie order (its shortest containing prefix) sets the score.
+      const Value& value = index.lines[line]->values[param];
+      const ValueType type = value.type();
+      if (self_ok && (type == ValueType::kIp4 || type == ValueType::kIp6 ||
+                      type == ValueType::kPfx4 || type == ValueType::kPfx6)) {
+        s.pfx_hits.clear();
+        if (type == ValueType::kIp4) {
+          s.pfx.FindContaining(value.AsIp4(), &s.pfx_hits);
+        } else if (type == ValueType::kPfx4) {
+          s.pfx.FindContaining(value.AsPfx4(), &s.pfx_hits);
+        } else if (type == ValueType::kIp6) {
+          s.pfx.FindContaining(value.AsIp6(), &s.pfx_hits);
+        } else {
+          s.pfx.FindContaining(value.AsPfx6(), &s.pfx_hits);
+        }
+        const bool v6 = type == ValueType::kIp6 || type == ValueType::kPfx6;
+        for (const PrefixTrie::Hit& hit : s.pfx_hits) {
+          const uint32_t b = s.value_node[s.value_begin[hit.ref.line] + hit.ref.param];
+          if (b == a) {
+            continue;
+          }
+          Slot& contains = slot_of(kWalkContains, b);
+          if (contains.line == line) {
+            continue;
+          }
+          contains.line = line;
+          ++contains.lines;
+          if (first) {
+            offer(contains, text, PrefixScore(hit.prefix_len, v6));
+          }
+        }
+      }
+
+      // Affix candidates (identity keys of 2+ characters).
+      if (s.text_affix[text] != 0) {
+        affixes(line, s.prefix_begin, s.prefixes, &s.prefix_seen, kWalkStartsWith,
+                kWalkPrefixOf, text);
+        affixes(line, s.suffix_begin, s.suffixes, &s.suffix_seen, kWalkEndsWith,
+                kWalkSuffixOf, text);
+      }
+    }
+
+    // A candidate holds when it counted every line of its forall pattern.
+    for (uint32_t at : s.touched) {
+      const Slot& done = s.slots[at];
+      const uint32_t relation = at / num_nodes;
+      const uint32_t forall = relation < kWalkPrefixOf ? a : at % num_nodes;
+      const uint32_t total = s.node_total[forall];
+      sum.candidates[done.candidate].holds = total > 0 && done.lines == total;
     }
   }
 
-  // ---- Fold this config's marks into per-candidate hold bits. ----
-  std::sort(hit_lines.begin(), hit_lines.end());
-  hit_lines.erase(std::unique(hit_lines.begin(), hit_lines.end()), hit_lines.end());
-  for (uint64_t hit : hit_lines) {
-    ++candidates[hit >> 32].lines;
-  }
-
-  out->candidates.reserve(candidates.size());
-  for (const MarkState& state : candidates) {
-    auto it = index.by_pattern.find(RelationalNodePattern(state.key.forall_node));
-    uint32_t total = it == index.by_pattern.end() ? 0 : static_cast<uint32_t>(it->second.size());
-    out->candidates.push_back(RelationalCandidate{state.key, total > 0 && state.lines == total});
-  }
+  // Exact-size copies: the summary outlives the scratch's next config.
+  out->candidates.assign(sum.candidates.begin(), sum.candidates.end());
+  out->witnesses.assign(sum.witnesses.begin(), sum.witnesses.end());
+  out->witness_text.assign(sum.witness_text);
+  out->witness_offsets.assign(sum.witness_offsets.begin(), sum.witness_offsets.end());
+  out->candidate_ids.clear();
+  out->witness_ids.clear();
   return true;
 }
 
+void RelationalTable::Reserve(size_t keys, size_t texts) {
+  key_ids_.reserve(keys);
+  keys_.reserve(keys);
+  texts_.Reserve(texts);
+}
+
+void RelationalTable::Intern(RelationalConfigSummary* summary) {
+  summary->candidate_ids.resize(summary->candidates.size());
+  for (size_t i = 0; i < summary->candidates.size(); ++i) {
+    const RelationalKey& key = summary->candidates[i].key;
+    auto [id, inserted] = key_ids_.TryEmplace(key, num_keys());
+    if (inserted) {
+      keys_.push_back(key);
+    }
+    summary->candidate_ids[i] = *id;
+  }
+  summary->witness_ids.resize(summary->num_witness_texts());
+  for (uint32_t i = 0; i < summary->witness_ids.size(); ++i) {
+    summary->witness_ids[i] = texts_.Intern(summary->WitnessText(i));
+  }
+}
+
 std::vector<Contract> AggregateRelational(
-    const std::vector<const ConfigSummary*>& summaries,
+    const std::vector<const ConfigSummary*>& summaries, const RelationalTable& table,
     const std::vector<uint32_t>& config_counts, const LearnOptions& options) {
   // Nested inside the learner's Aggregate span: relational aggregation is the
   // one sub-stage heavy enough to deserve its own line in a profile.
   TraceSpan span("learn", "relational");
 
-  // ---- Merge hold counts per candidate, in configuration order. ----
-  FlatMap<RelationalKey, uint32_t, RelationalKeyHash> ids;
-  std::vector<RelationalKey> keys;
-  std::vector<uint32_t> holds;
-  std::vector<uint32_t> merged;  // Global id of every summary candidate, in order.
+  // ---- Count holds per key id; only ids a summary names can survive. ----
+  const uint32_t num_keys = table.num_keys();
+  constexpr uint32_t kUnnamed = kNone;
+  std::vector<uint32_t> holds(num_keys, kUnnamed);
   for (const ConfigSummary* summary : summaries) {
-    for (const RelationalCandidate& cand : summary->relational.candidates) {
-      auto [slot, inserted] = ids.TryEmplace(cand.key, static_cast<uint32_t>(keys.size()));
-      const uint32_t id = *slot;
-      if (inserted) {
-        keys.push_back(cand.key);
-        holds.push_back(0);
-      }
-      if (cand.holds) {
-        ++holds[id];
-      }
-      merged.push_back(id);
+    const RelationalConfigSummary& rel = summary->relational;
+    for (size_t i = 0; i < rel.candidates.size(); ++i) {
+      uint32_t& count = holds[rel.candidate_ids[i]];
+      count = (count == kUnnamed ? 0 : count) + (rel.candidates[i].holds ? 1 : 0);
     }
   }
+
   // ---- Support and confidence first: only survivors need a diversity score. ----
   std::vector<uint32_t> survivors;
-  std::vector<uint32_t> survivor_of(keys.size(), kNone);
-  for (uint32_t id = 0; id < keys.size(); ++id) {
-    uint32_t support = config_counts[RelationalNodePattern(keys[id].forall_node)];
+  std::vector<uint32_t> survivor_of(num_keys, kNone);
+  for (uint32_t id = 0; id < num_keys; ++id) {
+    if (holds[id] == kUnnamed) {
+      continue;
+    }
+    uint32_t support = config_counts[RelationalNodePattern(table.key(id).forall_node)];
     if (static_cast<int>(support) < options.support ||
         static_cast<double>(holds[id]) / static_cast<double>(support) < options.confidence) {
       continue;
@@ -353,37 +548,39 @@ std::vector<Contract> AggregateRelational(
     survivors.push_back(id);
   }
 
-  // ---- Gather the survivors' witness entries, interning witness texts. ----
+  // ---- Gather the survivors' witness entries into one flat array. ----
+  // Survivor s's entries are gathered[begin[s], begin[s + 1]): one pass counts,
+  // the next fills.
   struct Entry {
-    uint32_t witness;
+    uint32_t witness;  // Table text id.
     float score;
   };
-  std::vector<std::vector<Entry>> gathered(survivors.size());
-  FlatMap<std::string_view, uint32_t> witness_ids;
-  std::vector<std::string_view> witness_texts;
+  auto survivor = [&](const RelationalConfigSummary& rel, const RelationalWitness& w) {
+    return survivor_of[rel.candidate_ids[w.candidate]];
+  };
+  std::vector<uint32_t> begin(survivors.size() + 1, 0);
+  for (const ConfigSummary* summary : summaries) {
+    for (const RelationalWitness& w : summary->relational.witnesses) {
+      const uint32_t s = survivor(summary->relational, w);
+      if (s != kNone) {
+        ++begin[s + 1];
+      }
+    }
+  }
+  for (size_t s = 0; s < survivors.size(); ++s) {
+    begin[s + 1] += begin[s];
+  }
+  std::vector<Entry> gathered(begin.back());
   {
-    std::vector<uint32_t> global_of;  // Summary witness id -> interned id.
-    size_t base = 0;                  // The summary's first entry in `merged`.
+    std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
     for (const ConfigSummary* summary : summaries) {
       const RelationalConfigSummary& rel = summary->relational;
-      global_of.assign(rel.num_witness_texts(), kNone);
-      for (const RelationalWitness& witness : rel.witnesses) {
-        const uint32_t s = survivor_of[merged[base + witness.candidate]];
-        if (s == kNone) {
-          continue;
+      for (const RelationalWitness& w : rel.witnesses) {
+        const uint32_t s = survivor(rel, w);
+        if (s != kNone) {
+          gathered[cursor[s]++] = Entry{rel.witness_ids[w.text], w.score};
         }
-        uint32_t& global = global_of[witness.text];
-        if (global == kNone) {
-          std::string_view text = rel.WitnessText(witness.text);
-          global =
-              *witness_ids.TryEmplace(text, static_cast<uint32_t>(witness_texts.size())).first;
-          if (global == witness_texts.size()) {
-            witness_texts.push_back(text);
-          }
-        }
-        gathered[s].push_back(Entry{global, witness.score});
       }
-      base += rel.candidates.size();
     }
   }
 
@@ -395,12 +592,13 @@ std::vector<Contract> AggregateRelational(
   // parallelism and the artifact store all learn the same bytes. Scores are
   // multiples of 1/16 and the set is capped, so the sum is exact in any order.
   std::vector<Contract> out;
-  std::vector<uint32_t> seen_by(witness_texts.size(), kNone);
-  std::vector<uint32_t> position(witness_texts.size(), 0);
+  std::vector<uint32_t> seen_by(table.num_texts(), kNone);
+  std::vector<uint32_t> position(table.num_texts(), 0);
   std::vector<Entry> distinct;
   for (uint32_t s = 0; s < survivors.size(); ++s) {
     distinct.clear();
-    for (const Entry& entry : gathered[s]) {
+    for (uint32_t e = begin[s]; e < begin[s + 1]; ++e) {
+      const Entry& entry = gathered[e];
       if (seen_by[entry.witness] != s) {
         seen_by[entry.witness] = s;
         position[entry.witness] = static_cast<uint32_t>(distinct.size());
@@ -412,8 +610,8 @@ std::vector<Contract> AggregateRelational(
     }
     if (distinct.size() > kMaxDiversityKeys) {
       std::nth_element(distinct.begin(), distinct.begin() + kMaxDiversityKeys, distinct.end(),
-                       [&](const Entry& a, const Entry& b) {
-                         return witness_texts[a.witness] < witness_texts[b.witness];
+                       [&](const Entry& x, const Entry& y) {
+                         return table.text(x.witness) < table.text(y.witness);
                        });
       distinct.resize(kMaxDiversityKeys);
     }
@@ -424,7 +622,7 @@ std::vector<Contract> AggregateRelational(
     if (score < options.score_threshold) {
       continue;
     }
-    const RelationalKey& key = keys[survivors[s]];
+    const RelationalKey& key = table.key(survivors[s]);
     PatternId p1 = RelationalNodePattern(key.forall_node);
     uint32_t support = config_counts[p1];
     Contract c;

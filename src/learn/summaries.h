@@ -76,14 +76,19 @@ struct RelationalWitness {
   float score = 0.0f;
 };
 
-// Flat per-config relational evidence (see src/learn/relational.h): candidates in
-// first-mark order, (candidate, witness, score) entries in mark order, and one
-// pool of the distinct witness texts those entries name.
+// Flat per-config relational evidence (see src/learn/relational.h): candidates,
+// (candidate, witness, score) entries, and one pool of the distinct witness texts
+// those entries name. Each candidate's entries keep its witnesses' mark order;
+// the order of candidates, and of entries across candidates, carries no meaning.
 struct RelationalConfigSummary {
   std::vector<RelationalCandidate> candidates;
   std::vector<RelationalWitness> witnesses;
   std::string witness_text;               // Witness texts, concatenated.
   std::vector<uint32_t> witness_offsets;  // Text i is [offsets[i], offsets[i + 1]).
+  // Filled by RelationalTable::Intern: the table id of each candidate's key and
+  // of each pooled witness text, which is what aggregation reads.
+  std::vector<uint32_t> candidate_ids;
+  std::vector<uint32_t> witness_ids;
 
   size_t num_witness_texts() const {
     return witness_offsets.empty() ? 0 : witness_offsets.size() - 1;

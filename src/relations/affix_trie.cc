@@ -4,6 +4,12 @@ namespace concord {
 
 AffixTrie::AffixTrie(bool reversed) : reversed_(reversed) { nodes_.resize(1); }
 
+void AffixTrie::Clear() {
+  nodes_.assign(1, Node{});
+  edges_.clear();
+  terminals_.clear();
+}
+
 int32_t AffixTrie::Child(int32_t node, char c) const {
   for (int32_t e = nodes_[node].first_edge; e != kNone; e = edges_[e].next) {
     if (edges_[e].label == c) {

@@ -39,6 +39,10 @@ class AffixTrie {
 
   size_t num_keys() const { return terminals_.size(); }
 
+  // Drops every key but keeps the arrays' capacity, so a trie reused across
+  // configurations stops allocating once it has seen the largest.
+  void Clear();
+
  private:
   static constexpr int32_t kNone = -1;
 

@@ -40,6 +40,18 @@ uint32_t KeyInterner::Intern(std::string_view text) {
   }
 }
 
+void KeyInterner::Reserve(size_t n) {
+  end_.reserve(n);
+  hash_.reserve(n);
+  size_t slots = slots_.empty() ? 64 : slots_.size();
+  while ((n + 1) * 10 >= slots * 7) {
+    slots *= 2;
+  }
+  if (slots > slots_.size()) {
+    Rehash(slots);
+  }
+}
+
 void KeyInterner::Clear() {
   buffer_.clear();
   end_.clear();
@@ -47,8 +59,10 @@ void KeyInterner::Clear() {
   std::fill(slots_.begin(), slots_.end(), kNone);
 }
 
-void KeyInterner::Grow() {
-  slots_.assign(slots_.empty() ? 64 : slots_.size() * 2, kNone);
+void KeyInterner::Grow() { Rehash(slots_.empty() ? 64 : slots_.size() * 2); }
+
+void KeyInterner::Rehash(size_t slots) {
+  slots_.assign(slots, kNone);
   const size_t mask = slots_.size() - 1;
   for (uint32_t id = 0; id < size(); ++id) {
     size_t slot = HomeSlot(hash_[id], mask);

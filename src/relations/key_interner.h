@@ -35,10 +35,14 @@ class KeyInterner {
   // Distinct texts so far; ids are [0, size()).
   uint32_t size() const { return static_cast<uint32_t>(end_.size()); }
 
+  // Pre-sizes for `n` distinct texts, so interning that many does not rehash.
+  void Reserve(size_t n);
+
   void Clear();
 
  private:
   void Grow();
+  void Rehash(size_t slots);  // `slots` is a power of two.
 
   std::string buffer_;          // Every distinct text, back to back.
   std::vector<uint32_t> end_;   // Id -> end offset of its text in buffer_.

@@ -26,6 +26,11 @@ PrefixTrie::PrefixTrie() {
   root6_ = 1;
 }
 
+void PrefixTrie::Clear() {
+  nodes_.assign(2, Node{});
+  terminals_.clear();
+}
+
 void PrefixTrie::InsertBits(const std::array<uint8_t, 16>& bytes, int prefix_len, bool v6,
                             ParamRef ref) {
   int32_t node = v6 ? root6_ : root4_;

@@ -38,6 +38,9 @@ class PrefixTrie {
 
   size_t num_prefixes() const { return terminals_.size(); }
 
+  // Drops every prefix but keeps the arrays' capacity (see AffixTrie::Clear).
+  void Clear();
+
  private:
   // Prefixes ending exactly at a node form a list through Terminal::next, in
   // insertion order, so the whole trie is two flat arrays.

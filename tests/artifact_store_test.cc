@@ -11,6 +11,7 @@
 #include "src/datagen/wan_gen.h"
 #include "src/learn/learner.h"
 #include "src/util/cancellation.h"
+#include "src/util/strings.h"
 #include "tests/test_util.h"
 
 namespace concord {
@@ -203,6 +204,93 @@ TEST(ArtifactStore, ParallelRefreshMatchesSerial) {
   LoadCorpus(corpus, &store_serial);
   LoadCorpus(corpus, &store_parallel);
   EXPECT_EQ(LearnFromStore(store_serial, serial), LearnFromStore(store_parallel, parallel));
+}
+
+
+// The store's relational table keeps the ids of summaries it no longer holds.
+// With every threshold at zero, any id that reached aggregation would become a
+// contract, so a relearn after removing and replacing configs must still equal
+// a fresh learn: only ids a resident summary names may survive.
+TEST(ArtifactStore, RemovedAndReplacedConfigsLeaveNoContractBehind) {
+  GeneratedCorpus corpus = GenerateEdge(EdgeOptions{});
+  // alpha equals beta in the first config only, so only its summary names the
+  // (alpha, beta) equality; both patterns stay in every config.
+  for (size_t i = 0; i < corpus.configs.size(); ++i) {
+    corpus.configs[i].text += "alpha " + std::to_string(40000 + i) + "\nbeta " +
+                              std::to_string(i == 0 ? 40000 : 50000 + i) + "\n";
+  }
+  Lexer lexer;
+  LearnOptions options;
+  options.support = 3;
+  options.confidence = 0.0;
+  options.score_threshold = 0.0;
+
+  ArtifactStore store(&lexer, ParseOptions{});
+  LoadCorpus(corpus, &store);
+  EXPECT_EQ(LearnFromStore(store, options), LearnFromScratch(corpus, options, lexer));
+
+  corpus.configs[0].text = ReplaceAll(corpus.configs[0].text, "beta 40000", "beta 49999");
+  EXPECT_TRUE(store.Upsert(corpus.configs[0].name, corpus.configs[0].text));
+  for (int removed = 0; removed < 2; ++removed) {
+    EXPECT_TRUE(store.Remove(corpus.configs.back().name));
+    corpus.configs.pop_back();
+  }
+  corpus.configs[1].text = corpus.configs[2].text;
+  EXPECT_TRUE(store.Upsert(corpus.configs[1].name, corpus.configs[1].text));
+  const std::string relearned = LearnFromStore(store, options);
+  EXPECT_EQ(relearned, LearnFromScratch(corpus, options, lexer));
+  EXPECT_EQ(relearned.find("\"confidence\":0,"), std::string::npos);
+}
+
+// Every update can bring new witness texts, so the store rebuilds its table
+// when it doubles. Over a run of one-value updates the table rebuilds at least
+// twice, never holds more than 2.2 times a fresh store's ids, and the last
+// relearn equals a fresh learn.
+TEST(ArtifactStore, RelationalTableStaysBoundedOverUpdates) {
+  auto config = [](int device, int tag) {
+    // Six-digit tags starting with 7 relate to nothing else in the config, so
+    // every update leaves a fresh table's size alone.
+    const std::string link =
+        "link-" + std::to_string(1000 + device) + "-" + std::to_string(700000 + tag);
+    return "hostname dev" + std::to_string(device) + "\ninterface Ethernet1\n   description " +
+           link + "\nlldp neighbor " + link + "\nvlan " + std::to_string(100 + device) +
+           "\n   name v" + std::to_string(100 + device) + "\n";
+  };
+  constexpr int kDevices = 8;
+  GeneratedCorpus corpus;
+  for (int device = 0; device < kDevices; ++device) {
+    corpus.configs.push_back(
+        GeneratedConfig{"dev" + std::to_string(device) + ".cfg", config(device, 0)});
+  }
+  Lexer lexer;
+  LearnOptions options;
+  options.support = 3;
+  options.score_threshold = 1.0;
+  auto fresh_size = [&]() {
+    ArtifactStore fresh(&lexer, ParseOptions{});
+    LoadCorpus(corpus, &fresh);
+    LearnFromStore(fresh, options);
+    return fresh.relational_table().size();
+  };
+
+  ArtifactStore store(&lexer, ParseOptions{});
+  LoadCorpus(corpus, &store);
+  LearnFromStore(store, options);
+  size_t rebuilds = 0;
+  size_t last = store.relational_table().size();
+  for (int update = 1; rebuilds < 2 && update <= 400; ++update) {
+    GeneratedConfig& target = corpus.configs[update % kDevices];
+    target.text = config(update % kDevices, update);
+    ASSERT_TRUE(store.Upsert(target.name, target.text));
+    LearnFromStore(store, options);
+    const size_t size = store.relational_table().size();
+    rebuilds += size < last ? 1 : 0;
+    last = size;
+    ASSERT_LE(static_cast<double>(size), 2.2 * static_cast<double>(fresh_size()))
+        << "after update " << update;
+  }
+  EXPECT_GE(rebuilds, 2u);
+  EXPECT_EQ(LearnFromStore(store, options), LearnFromScratch(corpus, options, lexer));
 }
 
 }  // namespace

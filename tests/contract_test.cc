@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/contracts/contract_io.h"
 #include "src/pattern/lexer.h"
 #include "src/pattern/parser.h"
@@ -58,6 +60,98 @@ TEST(Contract, KeyIgnoresStatistics) {
   b.support = 99;
   b.confidence = 0.5;
   EXPECT_EQ(a.Key(table), b.Key(table));
+}
+
+// Contract::Key as it was rendered through a stream, kept as the reference for
+// the single-string rendering.
+std::string StreamKey(const Contract& c, const PatternTable& table) {
+  std::ostringstream out;
+  out << ContractKindName(c.kind) << '|';
+  switch (c.kind) {
+    case ContractKind::kPresent:
+      out << table.Get(c.pattern).text;
+      break;
+    case ContractKind::kOrdering:
+      out << table.Get(c.pattern).text << '|' << table.Get(c.pattern2).text << '|'
+          << (c.successor ? "succ" : "pred");
+      break;
+    case ContractKind::kType:
+      out << c.untyped_pattern << '|' << c.param << '|' << ValueTypeName(c.invalid_type);
+      break;
+    case ContractKind::kSequence:
+    case ContractKind::kUnique:
+      out << table.Get(c.pattern).text << '|' << c.param;
+      break;
+    case ContractKind::kRelational:
+      out << table.Get(c.pattern).text << '|' << c.param << '|' << c.transform1.Name() << '|'
+          << RelationKindName(c.relation) << '|' << table.Get(c.pattern2).text << '|'
+          << c.param2 << '|' << c.transform2.Name();
+      break;
+  }
+  return out.str();
+}
+
+TEST(Contract, KeyMatchesTheStreamRendering) {
+  PatternTable table;
+  const PatternId p1 = Intern(&table, "/interface Port-Channel[a:num]");
+  const PatternId p2 =
+      Intern(&table, "/router bgp [num]/vlan [num]/rd [a:ip4]:[b:num] with a long tail of text");
+  const std::vector<uint16_t> params = {0, 1, 9, 10, 11, 99, 100, 1000, 65535};
+  const std::vector<Transform> transforms = {
+      IdTransform(),
+      {TransformKind::kHex, 0},
+      {TransformKind::kMacSegment, 1},
+      {TransformKind::kMacSegment, 6},
+      {TransformKind::kIpOctet, 1},
+      {TransformKind::kIpOctet, 4},
+      {TransformKind::kPfxAddr, 0},
+      {TransformKind::kPfxLen, 0}};
+  const std::vector<RelationKind> relations = {
+      RelationKind::kEquals,   RelationKind::kContains, RelationKind::kStartsWith,
+      RelationKind::kPrefixOf, RelationKind::kEndsWith, RelationKind::kSuffixOf};
+  const std::vector<ValueType> types = {
+      ValueType::kNum, ValueType::kHex,  ValueType::kBool, ValueType::kMac, ValueType::kIp4,
+      ValueType::kPfx4, ValueType::kIp6, ValueType::kPfx6, ValueType::kStr};
+  size_t compared = 0;
+  auto expect_same = [&](const Contract& c) {
+    EXPECT_EQ(c.Key(table), StreamKey(c, table));
+    ++compared;
+  };
+  for (ContractKind kind : {ContractKind::kPresent, ContractKind::kOrdering, ContractKind::kType,
+                            ContractKind::kSequence, ContractKind::kUnique,
+                            ContractKind::kRelational}) {
+    Contract c;
+    c.kind = kind;
+    c.pattern = p1;
+    c.pattern2 = p2;
+    c.untyped_pattern = "/seq [a:?] permit [b:?]";
+    for (bool successor : {true, false}) {
+      c.successor = successor;
+      expect_same(c);
+    }
+    for (uint16_t param : params) {
+      c.param = param;
+      c.param2 = static_cast<uint16_t>(params.back() - param);
+      for (ValueType type : types) {
+        c.invalid_type = type;
+        expect_same(c);
+      }
+    }
+    if (kind != ContractKind::kRelational) {
+      continue;
+    }
+    for (const Transform& t1 : transforms) {
+      for (const Transform& t2 : transforms) {
+        for (RelationKind relation : relations) {
+          c.transform1 = t1;
+          c.transform2 = t2;
+          c.relation = relation;
+          expect_same(c);
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 400u);
 }
 
 TEST(InternPatternText, ExtractsParamTypes) {
