@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <tuple>
 
 #include "src/learn/artifact_store.h"
 #include "src/learn/index.h"
@@ -53,18 +54,16 @@ std::vector<Contract> AggregateAll(const std::vector<const ConfigSummary*>& summ
 // Canonical (kind, identity-key) order. Identity keys are pattern *text*, so the
 // order is independent of how PatternIds happened to be assigned.
 void SortByKindAndKey(std::vector<Contract>* contracts, const PatternTable& patterns) {
-  std::vector<std::pair<std::string, size_t>> order;
+  std::vector<std::tuple<ContractKind, std::string, size_t>> order;
   order.reserve(contracts->size());
   for (size_t i = 0; i < contracts->size(); ++i) {
     const Contract& c = (*contracts)[i];
-    order.emplace_back(
-        std::string(1, static_cast<char>('0' + static_cast<int>(c.kind))) + c.Key(patterns),
-        i);
+    order.emplace_back(c.kind, c.Key(patterns), i);
   }
   std::sort(order.begin(), order.end());
   std::vector<Contract> sorted;
   sorted.reserve(contracts->size());
-  for (auto& [key, i] : order) {
+  for (auto& [kind, key, i] : order) {
     sorted.push_back(std::move((*contracts)[i]));
   }
   *contracts = std::move(sorted);

@@ -3,6 +3,8 @@
 #include "src/learn/summaries.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <map>
 
 #include "src/learn/relational.h"
@@ -96,7 +98,7 @@ void AccountTypeLine(const PatternTable& patterns, const ParsedLine& line,
   }
   ++g.uses;
   for (size_t i = 0; i < info.param_types.size(); ++i) {
-    ++g.per_param[i][info.param_types[i]];
+    ++g.per_param[i][static_cast<size_t>(info.param_types[i])];
   }
 }
 
@@ -279,19 +281,31 @@ namespace {
 
 // Key for an ordering candidate.
 struct OrderKey {
-  PatternId p1;
-  PatternId p2;
-  bool successor;
+  PatternId p1 = kInvalidPattern;
+  PatternId p2 = kInvalidPattern;
+  bool successor = true;
 
-  bool operator<(const OrderKey& o) const {
-    if (p1 != o.p1) {
-      return p1 < o.p1;
-    }
-    if (p2 != o.p2) {
-      return p2 < o.p2;
-    }
-    return successor < o.successor;
+  bool operator==(const OrderKey& o) const {
+    return p1 == o.p1 && p2 == o.p2 && successor == o.successor;
   }
+};
+
+struct OrderKeyHash {
+  uint64_t operator()(const OrderKey& k) const {
+    return ((static_cast<uint64_t>(k.p1) << 32) | k.p2) * 0x9e3779b97f4a7c15ULL +
+           (k.successor ? 1 : 0);
+  }
+};
+
+// A value hashed and compared by content, without copying it.
+struct ValueRef {
+  const Value* value = nullptr;
+
+  bool operator==(const ValueRef& o) const { return *value == *o.value; }
+};
+
+struct ValueRefHash {
+  uint64_t operator()(const ValueRef& r) const { return r.value->Hash(); }
 };
 
 }  // namespace
@@ -299,7 +313,8 @@ struct OrderKey {
 std::vector<Contract> AggregateOrdering(const std::vector<const ConfigSummary*>& summaries,
                                         const std::vector<uint32_t>& config_counts,
                                         const LearnOptions& options) {
-  std::map<OrderKey, uint32_t> holds;
+  // Emission order is free: the learner sorts contracts canonically.
+  FlatMap<OrderKey, uint32_t, OrderKeyHash> holds;
   for (const ConfigSummary* summary : summaries) {
     for (const OrderingObservation& obs : summary->ordering) {
       ++holds[OrderKey{obs.p1, obs.p2, obs.successor}];
@@ -334,24 +349,41 @@ std::vector<Contract> AggregateType(const std::vector<const ConfigSummary*>& sum
                                     const TypeCountsMap* metadata_types,
                                     const LearnOptions& options) {
   // Per untyped pattern: per parameter, use counts per value type; plus the number
-  // of configurations in which the untyped pattern occurs.
+  // of configurations in which the untyped pattern occurs. Groups are keyed by
+  // views of the summaries' texts, which outlive this call; emission order is
+  // free (the learner sorts).
   struct Group {
-    std::vector<std::map<ValueType, uint32_t>> per_param;
+    std::string_view untyped;
+    std::vector<std::array<uint32_t, kNumValueTypes>> per_param;
     uint32_t total_uses = 0;
     uint32_t config_count = 0;
   };
-  std::map<std::string, Group> groups;
+  struct ViewHash {
+    uint64_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>()(text);  // Word-at-a-time; these texts are long.
+    }
+  };
+  FlatMap<std::string_view, uint32_t, ViewHash> group_of;
+  std::vector<Group> groups;
+  auto group_for = [&](std::string_view untyped) -> Group& {
+    auto [g, inserted] = group_of.TryEmplace(untyped, static_cast<uint32_t>(groups.size()));
+    if (inserted) {
+      groups.emplace_back();
+      groups.back().untyped = untyped;
+    }
+    return groups[*g];
+  };
 
-  auto merge_counts = [&groups](const TypeCountsMap& counts) {
+  auto merge_counts = [&](const TypeCountsMap& counts) {
     for (const auto& [untyped, uses] : counts) {
-      Group& g = groups[untyped];
+      Group& g = group_for(untyped);
       if (g.per_param.size() < uses.per_param.size()) {
         g.per_param.resize(uses.per_param.size());
       }
       g.total_uses += uses.uses;
       for (size_t i = 0; i < uses.per_param.size(); ++i) {
-        for (const auto& [type, n] : uses.per_param[i]) {
-          g.per_param[i][type] += n;
+        for (size_t type = 0; type < kNumValueTypes; ++type) {
+          g.per_param[i][type] += uses.per_param[i][type];
         }
       }
     }
@@ -360,7 +392,7 @@ std::vector<Contract> AggregateType(const std::vector<const ConfigSummary*>& sum
   for (const ConfigSummary* summary : summaries) {
     merge_counts(summary->type_counts);
     for (const std::string& untyped : summary->type_patterns_seen) {
-      ++groups[untyped].config_count;
+      ++group_for(untyped).config_count;
     }
   }
   if (metadata_types != nullptr) {
@@ -368,24 +400,29 @@ std::vector<Contract> AggregateType(const std::vector<const ConfigSummary*>& sum
   }
 
   std::vector<Contract> out;
-  for (const auto& [untyped, group] : groups) {
+  for (const Group& group : groups) {
     if (static_cast<int>(group.config_count) < options.support ||
         static_cast<int>(group.total_uses) < options.support) {
       continue;
     }
     for (size_t param = 0; param < group.per_param.size(); ++param) {
       const auto& type_counts = group.per_param[param];
-      if (type_counts.size() < 2) {
+      if (std::count_if(type_counts.begin(), type_counts.end(),
+                        [](uint32_t uses) { return uses > 0; }) < 2) {
         continue;  // A single observed type is the norm, not a violation.
       }
-      for (const auto& [type, uses] : type_counts) {
+      for (size_t type = 0; type < kNumValueTypes; ++type) {
+        const uint32_t uses = type_counts[type];
+        if (uses == 0) {
+          continue;
+        }
         double fraction = static_cast<double>(uses) / static_cast<double>(group.total_uses);
         if (fraction < 1.0 - options.confidence) {
           Contract c;
           c.kind = ContractKind::kType;
-          c.untyped_pattern = untyped;
+          c.untyped_pattern = std::string(group.untyped);
           c.param = static_cast<uint16_t>(param);
-          c.invalid_type = type;
+          c.invalid_type = static_cast<ValueType>(type);
           c.support = static_cast<int>(group.config_count);
           c.confidence = 1.0 - fraction;
           out.push_back(std::move(c));
@@ -440,36 +477,60 @@ std::vector<Contract> AggregateSequence(const std::vector<const ConfigSummary*>&
 std::vector<Contract> AggregateUnique(const std::vector<const ConfigSummary*>& summaries,
                                       const std::vector<uint32_t>& config_counts,
                                       const LearnOptions& options) {
-  struct Stats {
-    FlatMap<Value, bool, ValueHash> distinct;  // Used as a set.
+  // Totals per (pattern, param) first: only a group that meets support needs
+  // its distinct values counted. Emission order is free (the learner sorts).
+  struct Group {
+    PatternId pattern = kInvalidPattern;
+    uint16_t param = 0;
     uint32_t total = 0;
   };
-  std::map<std::pair<PatternId, uint16_t>, Stats> stats;
+  FlatMap<uint64_t, uint32_t> group_of;
+  std::vector<Group> groups;
   for (const ConfigSummary* summary : summaries) {
     for (const UniqueObservation& obs : summary->unique) {
-      Stats& s = stats[{obs.pattern, obs.param}];
-      for (const Value* value : obs.values) {
-        s.distinct.TryEmplace(*value);
+      auto [g, inserted] = group_of.TryEmplace(
+          (static_cast<uint64_t>(obs.pattern) << 16) | obs.param,
+          static_cast<uint32_t>(groups.size()));
+      if (inserted) {
+        groups.push_back(Group{obs.pattern, obs.param, 0});
       }
-      s.total += static_cast<uint32_t>(obs.values.size());
+      groups[*g].total += static_cast<uint32_t>(obs.values.size());
+    }
+  }
+  auto supported = [&](const Group& g) {
+    return static_cast<int>(config_counts[g.pattern]) >= options.support &&
+           static_cast<int>(g.total) >= options.support;
+  };
+
+  std::vector<FlatMap<ValueRef, bool, ValueRefHash>> distinct(groups.size());
+  for (const ConfigSummary* summary : summaries) {
+    for (const UniqueObservation& obs : summary->unique) {
+      const uint32_t g = group_of.at((static_cast<uint64_t>(obs.pattern) << 16) | obs.param);
+      if (!supported(groups[g])) {
+        continue;
+      }
+      distinct[g].reserve(groups[g].total);
+      for (const Value* value : obs.values) {
+        distinct[g].TryEmplace(ValueRef{value});
+      }
     }
   }
 
   std::vector<Contract> out;
-  for (const auto& [key, s] : stats) {
-    if (static_cast<int>(config_counts[key.first]) < options.support ||
-        static_cast<int>(s.total) < options.support) {
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    if (!supported(groups[g])) {
       continue;
     }
-    double conf = static_cast<double>(s.distinct.size()) / static_cast<double>(s.total);
+    double conf =
+        static_cast<double>(distinct[g].size()) / static_cast<double>(groups[g].total);
     if (conf < options.confidence) {
       continue;
     }
     Contract c;
     c.kind = ContractKind::kUnique;
-    c.pattern = key.first;
-    c.param = key.second;
-    c.support = static_cast<int>(config_counts[key.first]);
+    c.pattern = groups[g].pattern;
+    c.param = groups[g].param;
+    c.support = static_cast<int>(config_counts[groups[g].pattern]);
     c.confidence = conf;
     out.push_back(std::move(c));
   }

@@ -486,7 +486,7 @@ bool SummarizeRelationalConfig(const PatternTable& patterns, const ConfigIndex& 
   out->witnesses.assign(sum.witnesses.begin(), sum.witnesses.end());
   out->witness_text.assign(sum.witness_text);
   out->witness_offsets.assign(sum.witness_offsets.begin(), sum.witness_offsets.end());
-  out->candidate_ids.clear();
+  out->interned.clear();
   out->witness_ids.clear();
   return true;
 }
@@ -498,14 +498,17 @@ void RelationalTable::Reserve(size_t keys, size_t texts) {
 }
 
 void RelationalTable::Intern(RelationalConfigSummary* summary) {
-  summary->candidate_ids.resize(summary->candidates.size());
+  summary->interned.resize(summary->candidates.size());
   for (size_t i = 0; i < summary->candidates.size(); ++i) {
-    const RelationalKey& key = summary->candidates[i].key;
-    auto [id, inserted] = key_ids_.TryEmplace(key, num_keys());
+    const RelationalCandidate& candidate = summary->candidates[i];
+    auto [id, inserted] = key_ids_.TryEmplace(candidate.key, num_keys());
     if (inserted) {
-      keys_.push_back(key);
+      keys_.push_back(candidate.key);
     }
-    summary->candidate_ids[i] = *id;
+    summary->interned[i] = InternedCandidate{*id, 0, candidate.holds};
+  }
+  for (const RelationalWitness& w : summary->witnesses) {
+    ++summary->interned[w.candidate].witnesses;
   }
   summary->witness_ids.resize(summary->num_witness_texts());
   for (uint32_t i = 0; i < summary->witness_ids.size(); ++i) {
@@ -520,15 +523,17 @@ std::vector<Contract> AggregateRelational(
   // one sub-stage heavy enough to deserve its own line in a profile.
   TraceSpan span("learn", "relational");
 
-  // ---- Count holds per key id; only ids a summary names can survive. ----
+  // ---- Count holds and witness entries per key id; only ids a summary names
+  // can survive. ----
   const uint32_t num_keys = table.num_keys();
   constexpr uint32_t kUnnamed = kNone;
   std::vector<uint32_t> holds(num_keys, kUnnamed);
+  std::vector<uint32_t> entries(num_keys, 0);
   for (const ConfigSummary* summary : summaries) {
-    const RelationalConfigSummary& rel = summary->relational;
-    for (size_t i = 0; i < rel.candidates.size(); ++i) {
-      uint32_t& count = holds[rel.candidate_ids[i]];
-      count = (count == kUnnamed ? 0 : count) + (rel.candidates[i].holds ? 1 : 0);
+    for (const InternedCandidate& candidate : summary->relational.interned) {
+      uint32_t& count = holds[candidate.key];
+      count = (count == kUnnamed ? 0 : count) + (candidate.holds ? 1 : 0);
+      entries[candidate.key] += candidate.witnesses;
     }
   }
 
@@ -549,26 +554,15 @@ std::vector<Contract> AggregateRelational(
   }
 
   // ---- Gather the survivors' witness entries into one flat array. ----
-  // Survivor s's entries are gathered[begin[s], begin[s + 1]): one pass counts,
-  // the next fills.
+  // Survivor s's entries are gathered[begin[s], begin[s + 1]), sized from the
+  // entry counts of the first pass.
   struct Entry {
     uint32_t witness;  // Table text id.
     float score;
   };
-  auto survivor = [&](const RelationalConfigSummary& rel, const RelationalWitness& w) {
-    return survivor_of[rel.candidate_ids[w.candidate]];
-  };
   std::vector<uint32_t> begin(survivors.size() + 1, 0);
-  for (const ConfigSummary* summary : summaries) {
-    for (const RelationalWitness& w : summary->relational.witnesses) {
-      const uint32_t s = survivor(summary->relational, w);
-      if (s != kNone) {
-        ++begin[s + 1];
-      }
-    }
-  }
   for (size_t s = 0; s < survivors.size(); ++s) {
-    begin[s + 1] += begin[s];
+    begin[s + 1] = begin[s] + entries[survivors[s]];
   }
   std::vector<Entry> gathered(begin.back());
   {
@@ -576,7 +570,7 @@ std::vector<Contract> AggregateRelational(
     for (const ConfigSummary* summary : summaries) {
       const RelationalConfigSummary& rel = summary->relational;
       for (const RelationalWitness& w : rel.witnesses) {
-        const uint32_t s = survivor(rel, w);
+        const uint32_t s = survivor_of[rel.interned[w.candidate].key];
         if (s != kNone) {
           gathered[cursor[s]++] = Entry{rel.witness_ids[w.text], w.score};
         }

@@ -32,7 +32,8 @@
 //
 // Candidates are aggregated across configurations through a RelationalTable, which
 // gives every candidate key and witness text an append-only id; a summary carries
-// the ids of its keys and texts, so aggregation counts in arrays. A contract is
+// the ids of its keys and texts, with each candidate's hold bit and entry count, so
+// aggregation counts in arrays and gathers witnesses in one pass. A contract is
 // learned when it meets support S, confidence C, and the cumulative informativeness
 // threshold (diversity-aggregated over distinct witness keys, §3.5 "reducing false
 // positives"). The diversity set is the 256 lexicographically smallest distinct
@@ -74,8 +75,8 @@ class RelationalTable {
   // Pre-sizes for about `keys` candidate keys and `texts` witness texts.
   void Reserve(size_t keys, size_t texts);
 
-  // Fills summary->candidate_ids and summary->witness_ids, giving keys and texts
-  // the table has not seen the next ids.
+  // Fills summary->interned and summary->witness_ids, giving keys and texts the
+  // table has not seen the next ids.
   void Intern(RelationalConfigSummary* summary);
 
   uint32_t num_keys() const { return static_cast<uint32_t>(keys_.size()); }

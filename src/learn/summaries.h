@@ -19,6 +19,7 @@
 #ifndef SRC_LEARN_SUMMARIES_H_
 #define SRC_LEARN_SUMMARIES_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -76,6 +77,14 @@ struct RelationalWitness {
   float score = 0.0f;
 };
 
+// A candidate as aggregation reads it: its key's table id, whether it held, and
+// how many witness entries it has (at most 256). Filled by RelationalTable::Intern.
+struct InternedCandidate {
+  uint32_t key = 0;
+  uint16_t witnesses = 0;
+  bool holds = false;
+};
+
 // Flat per-config relational evidence (see src/learn/relational.h): candidates,
 // (candidate, witness, score) entries, and one pool of the distinct witness texts
 // those entries name. Each candidate's entries keep its witnesses' mark order;
@@ -85,9 +94,9 @@ struct RelationalConfigSummary {
   std::vector<RelationalWitness> witnesses;
   std::string witness_text;               // Witness texts, concatenated.
   std::vector<uint32_t> witness_offsets;  // Text i is [offsets[i], offsets[i + 1]).
-  // Filled by RelationalTable::Intern: the table id of each candidate's key and
-  // of each pooled witness text, which is what aggregation reads.
-  std::vector<uint32_t> candidate_ids;
+  // Filled by RelationalTable::Intern, parallel to `candidates` and to the text
+  // pool: what aggregation reads instead of the keys and texts.
+  std::vector<InternedCandidate> interned;
   std::vector<uint32_t> witness_ids;
 
   size_t num_witness_texts() const {
@@ -118,9 +127,11 @@ struct SequenceObservation {
   bool strong = false;
 };
 
-// Per-parameter value-type use counts for one untyped pattern.
+// Per-parameter value-type use counts for one untyped pattern, indexed by
+// ValueType.
+constexpr size_t kNumValueTypes = static_cast<size_t>(ValueType::kStr) + 1;
 struct TypeUseCounts {
-  std::vector<std::map<ValueType, uint32_t>> per_param;
+  std::vector<std::array<uint32_t, kNumValueTypes>> per_param;
   uint32_t uses = 0;
 };
 using TypeCountsMap = std::map<std::string, TypeUseCounts>;

@@ -206,7 +206,6 @@ TEST(ArtifactStore, ParallelRefreshMatchesSerial) {
   EXPECT_EQ(LearnFromStore(store_serial, serial), LearnFromStore(store_parallel, parallel));
 }
 
-
 // The store's relational table keeps the ids of summaries it no longer holds.
 // With every threshold at zero, any id that reached aggregation would become a
 // contract, so a relearn after removing and replacing configs must still equal

@@ -745,6 +745,43 @@ TEST(RelationalSummary, NodeMajorMatchesTheReferenceOnEdgeCases) {
   EXPECT_GT(count(summary(7), RelationKind::kContains), 1u);
 }
 
+// Interning records, per candidate, the table id of its key, its hold bit and
+// its number of witness entries, which aggregation sizes its gather from; and
+// per pooled text, the id of a table text equal to it.
+TEST(RelationalTable, InternRecordsKeysHoldsAndEntryCounts) {
+  Dataset dataset = ParseCorpus(SmallFamilyCorpus("wan", 1));
+  std::vector<ConfigIndex> indexes = BuildIndexes(dataset);
+  RelationalTable table;
+  std::vector<RelationalConfigSummary> summaries(indexes.size());
+  for (size_t ci = 0; ci < indexes.size(); ++ci) {
+    ASSERT_TRUE(SummarizeRelationalConfig(dataset.patterns, indexes[ci], nullptr, 0,
+                                          Deadline::Never(), &summaries[ci]));
+    table.Intern(&summaries[ci]);
+  }
+  size_t checked = 0;
+  for (const RelationalConfigSummary& summary : summaries) {
+    ASSERT_EQ(summary.interned.size(), summary.candidates.size());
+    std::vector<uint32_t> entries(summary.candidates.size(), 0);
+    for (const RelationalWitness& w : summary.witnesses) {
+      ++entries[w.candidate];
+    }
+    for (size_t i = 0; i < summary.candidates.size(); ++i) {
+      const InternedCandidate& interned = summary.interned[i];
+      EXPECT_TRUE(table.key(interned.key) == summary.candidates[i].key);
+      EXPECT_EQ(interned.holds, summary.candidates[i].holds);
+      EXPECT_EQ(interned.witnesses, entries[i]);
+    }
+    ASSERT_EQ(summary.witness_ids.size(), summary.num_witness_texts());
+    for (uint32_t t = 0; t < summary.num_witness_texts(); ++t) {
+      EXPECT_EQ(table.text(summary.witness_ids[t]), summary.WitnessText(t));
+    }
+    checked += summary.candidates.size();
+  }
+  EXPECT_GT(checked, 0u);
+  // Equal keys share an id: the table holds fewer keys than the summaries name.
+  EXPECT_LT(table.num_keys(), checked);
+}
+
 // The affix tries take texts of 2+ characters with a positive score, and look up
 // every text of 2+ characters; the two gates agree because KeyScore is positive
 // on every text of 2+ characters.
