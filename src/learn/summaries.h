@@ -128,7 +128,7 @@ struct SequenceObservation {
 };
 
 // Per-parameter value-type use counts for one untyped pattern, indexed by
-// ValueType.
+// ValueType (kStr is its last enumerator).
 constexpr size_t kNumValueTypes = static_cast<size_t>(ValueType::kStr) + 1;
 struct TypeUseCounts {
   std::vector<std::array<uint32_t, kNumValueTypes>> per_param;
