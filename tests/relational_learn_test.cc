@@ -701,6 +701,9 @@ std::vector<std::string> EdgeCaseConfigs() {
       "route 2001:db8::/32\nroute 2001:db8:1::/48\nneighbor 2001:db8:1::1\n"
       "neighbor 2001:db9::1\nroute 192.168.0.0/16\nneighbor 192.168.1.1\n"
       "network 192.168.1.0/24\n");
+  // The same two patterns the other way round: the shorter keys on the rare
+  // pattern, the longer ones on the supported pattern.
+  texts.push_back("rare 42\nrare 43\nbase 4242\nbase 4343\nbase 4299\n");
   return texts;
 }
 
@@ -743,6 +746,9 @@ TEST(RelationalSummary, NodeMajorMatchesTheReferenceOnEdgeCases) {
   EXPECT_GT(count(summary(4), RelationKind::kPrefixOf), 0u);
   EXPECT_GT(count(summary(5), RelationKind::kContains), 0u);
   EXPECT_GT(count(summary(7), RelationKind::kContains), 1u);
+  // A rare shorter key: its startswith partner counts, its prefixOf is filtered.
+  EXPECT_GT(count(summary(8), RelationKind::kStartsWith), 0u);
+  EXPECT_EQ(count(summary(8), RelationKind::kPrefixOf), 0u);
 }
 
 // Interning records, per candidate, the table id of its key, its hold bit and
